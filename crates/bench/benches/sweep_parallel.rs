@@ -61,6 +61,9 @@ fn bench_tiny_cell_batching(c: &mut Criterion) {
             }
             vec![Metric::exact("v", acc as f64)]
         }
+        fn cache_params(&self) -> Option<String> {
+            Some(format!("k={}", self.k))
+        }
     }
     let spec = rbbench::sweep::SweepSpec::new(
         "bench-tiny",

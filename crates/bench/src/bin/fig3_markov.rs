@@ -15,6 +15,7 @@
 use rbbench::cli::BenchArgs;
 use rbbench::sweep::{Metric, SweepCell, SweepSpec, Workload};
 use rbbench::workloads::MatrixFreeLumpability;
+use rbcore::workload::canon_f64;
 use rbmarkov::paper::{mean_interval_symmetric, AsyncParams, SymmetricChain};
 use serde::Serialize;
 
@@ -29,6 +30,10 @@ struct LumpabilityAudit {
 impl Workload for LumpabilityAudit {
     fn label(&self) -> String {
         format!("lumpability/n{}", self.n)
+    }
+
+    fn cache_params(&self) -> Option<String> {
+        Some(canon_symmetric(self.n, self.mu, self.lambda))
     }
 
     fn run(&self, _seed: u64) -> Vec<Metric> {
@@ -51,6 +56,12 @@ impl Workload for LumpabilityAudit {
     }
 }
 
+/// Cache-key rendering of a symmetric `(n, μ, λ)` point, shared by the
+/// two binary-local workloads (their labels tell them apart).
+fn canon_symmetric(n: usize, mu: f64, lambda: f64) -> String {
+    format!("n={n};mu={};lambda={}", canon_f64(mu), canon_f64(lambda))
+}
+
 /// One point of the large-n scaling curve through the lumped solver.
 struct ScalingPoint {
     n: usize,
@@ -61,6 +72,10 @@ struct ScalingPoint {
 impl Workload for ScalingPoint {
     fn label(&self) -> String {
         format!("scaling/n{}", self.n)
+    }
+
+    fn cache_params(&self) -> Option<String> {
+        Some(canon_symmetric(self.n, self.mu, self.lambda))
     }
 
     fn run(&self, _seed: u64) -> Vec<Metric> {
@@ -216,4 +231,24 @@ fn main() {
             large_n_lumpability: large_rows,
         },
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn local_workloads_key_every_field() {
+        let (n, mu, lambda) = (3, 1.0, 1.0);
+        let keys: [fn(usize, f64, f64) -> String; 2] = [
+            |n, mu, lambda| LumpabilityAudit { n, mu, lambda }.cache_params().unwrap(),
+            |n, mu, lambda| ScalingPoint { n, mu, lambda }.cache_params().unwrap(),
+        ];
+        for key in keys {
+            let base = key(n, mu, lambda);
+            assert_ne!(base, key(n + 1, mu, lambda), "n");
+            assert_ne!(base, key(n, 1.5, lambda), "mu");
+            assert_ne!(base, key(n, mu, 1.5), "lambda");
+        }
+    }
 }

@@ -17,7 +17,9 @@
 //! * `--adaptive <budget>` — additionally refine the tail-quantile
 //!   curve t*(λ) (the `tail/threshold` metric) over a λ axis with the
 //!   adaptive engine (`rbbench::adaptive`) under the given cell
-//!   budget, emitting a second artifact `fig_tails_adaptive`.
+//!   budget, emitting a second artifact `fig_tails_adaptive`; each
+//!   round honours `--cache`, so a killed refinement re-run with the
+//!   same cache resumes.
 
 use rbbench::adaptive::AdaptiveSpec;
 use rbbench::cli::BenchArgs;
@@ -124,16 +126,7 @@ fn main() {
             }),
         )
         .with_max_depth(8);
-        let refined = match &args.journal {
-            None => spec.run(args.threads()),
-            Some(dir) => {
-                std::fs::create_dir_all(dir).expect("create journal dir");
-                spec.run_resumable(args.threads(), dir).unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                })
-            }
-        };
+        let refined = spec.drive(|round| args.run_sweep(round));
         println!(
             "\nAdaptive λ profile of the tail quantile t*(λ) at p = {p_profile:e} \
              ({} points, budget {budget}, converged: {})",

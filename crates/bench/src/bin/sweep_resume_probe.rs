@@ -1,15 +1,16 @@
-//! CI probe for the resumable-sweep gate: a mid-size asynchronous-grid
-//! sweep whose artifact is compared byte-for-byte across
-//! *uninterrupted* and *killed-then-resumed* runs.
+//! CI probe for the resume gate: a mid-size asynchronous-grid sweep
+//! whose artifact is compared byte-for-byte across *uninterrupted* and
+//! *killed-then-resumed* runs.
 //!
-//! The `sweep-resume` CI job (and the release test in
+//! The `sweep-resume` CI job (through the release test in
 //! `crates/bench/tests/sweep_resume.rs`) runs this binary three ways:
-//! once without `--journal` as the reference, once with `--journal`
-//! SIGKILLed mid-sweep, and once more with the same `--journal` to
-//! resume — then diffs `sweep_resume_probe.json` between the reference
-//! and the resumed run. The grid is sized so a kill lands partway
-//! through: 24 cells of `RB_PROBE_LINES` (default 60 000) simulated
-//! recovery-line intervals each.
+//! once without `--cache` as the reference, once with `--cache <dir>`
+//! SIGKILLed mid-sweep, and once more with the same `--cache` to
+//! resume — the finished cells are hits, the rest are solved — then
+//! diffs `sweep_resume_probe.json` between the reference and the
+//! resumed run. The grid is sized so a kill lands partway through: 24
+//! cells of `RB_PROBE_LINES` (default 60 000) simulated recovery-line
+//! intervals each.
 
 use rbbench::cli::BenchArgs;
 use rbbench::sweep::{AsyncGrid, SweepSpec};

@@ -22,9 +22,9 @@
 //! and its FNV-1a-64 hash. Length-prefixing makes the material
 //! injective (`("ab","c")` ≠ `("a","bc")`); the params string comes
 //! from [`Workload::cache_params`](crate::sweep::Workload::cache_params), which renders floats as raw
-//! IEEE-754 bits so no two distinct configurations collide. Workloads
-//! that do not implement `cache_params` (returning `None`) are simply
-//! never cached — opt-in, safe by default.
+//! IEEE-754 bits so no two distinct configurations collide. Every
+//! production workload implements it; a workload returning `None` is
+//! never cached and re-runs every time.
 //!
 //! Hashes address the in-memory index, but a **hit requires full key
 //! material equality** — a 64-bit hash collision can never serve the
@@ -35,20 +35,31 @@
 //! One append-only file (`results.wal`) of [`rbruntime::wal`] frames:
 //! a header frame binding the cache format and code version, then one
 //! frame per entry (`[tag][material length: u32][material][payload]`)
-//! where the payload is the journal's bit-exact report codec
-//! (`f64`s as raw bits — NaN quantiles round-trip). Entries are
-//! appended and flushed as produced, so a SIGKILLed server restarts
-//! warm: the recovery rules are the journal's — a torn tail is
-//! truncated (those solves re-run and re-append), an intact but
-//! undecodable or self-contradictory record **refuses** the cache with
-//! an error naming the file, and a header written by a different
-//! format or code version is refused rather than misread.
+//! where the payload is the bit-exact report codec
+//! ([`crate::journal`]: `f64`s as raw bits — NaN quantiles round-trip).
+//! Entries are appended and flushed as produced, so a SIGKILLed server
+//! restarts warm. The recovery rules: a torn (or checksum-mismatched)
+//! tail is truncated (those solves re-run and re-append), an intact
+//! but undecodable or self-contradictory record **refuses** the cache
+//! with an error naming the file and frame, and a header written by a
+//! different format or code version is refused rather than misread.
 //!
-//! One writer at a time: like the journal, the cache has no
-//! inter-process lock; drive a given cache directory from a single
-//! process. [`entry_count`] / [`wal_stats`] are the read-only
-//! exception — they scan the framing without opening for append, so
-//! tests (and humans) can poll a live server's cache file.
+//! ## Resume is a warm re-run
+//!
+//! The cache is also how an interrupted sweep resumes. A figure binary
+//! killed mid-sweep under `--cache <dir>` has already appended every
+//! cell it finished; re-running the same command serves those cells as
+//! hits and solves only the rest, and the artifact is byte-identical
+//! to an uninterrupted run (`tests/sweep_resume.rs` SIGKILLs a real
+//! process to prove it). Because keys bind content, not a sweep's
+//! name or shape, a changed spec re-uses every cell it shares with the
+//! old one and solves the others — nothing to refuse.
+//!
+//! One writer at a time: the cache has no inter-process lock; drive a
+//! given cache directory from a single process. [`entry_count`] /
+//! [`wal_stats`] are the read-only exception — they scan the framing
+//! without opening for append, so tests (and humans) can poll a live
+//! server's or sweep's cache file.
 //!
 //! ## Lifecycle
 //!
@@ -88,6 +99,11 @@ pub const CACHE_FORMAT_VERSION: u16 = 1;
 
 /// File name of the cache WAL inside the cache directory.
 pub const CACHE_FILE: &str = "results.wal";
+
+/// Transient write failures absorbed per append stage before it
+/// surfaces as [`CacheError::Io`] — the cache's own small recovery
+/// block.
+const TRANSIENT_RETRIES: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"rbcache\0";
 const TAG_CACHE_HEADER: u8 = 0x10;
@@ -288,8 +304,11 @@ pub enum HitTier {
 /// A bounded LRU of decoded reports keyed by entry index (stable: the
 /// byte store is append-ordered and deduped, and compaction preserves
 /// first-seen order). Recency is a monotonic tick per touch; eviction
-/// scans for the stalest resident — O(capacity), which is noise next
-/// to the payload decode it saves at the capacities this tier runs at.
+/// scans for the stalest resident — O(capacity), and not cheap: at
+/// rbserve's default capacity, on a 2-core host, a warm-tier
+/// `lookup_tiered` hit (decode, promotion and this scan) measured
+/// 6.91 µs against 0.67 µs for the payload decode alone
+/// (perfbench/README.md, finding (b)).
 struct HotTier {
     cap: usize,
     tick: u64,
@@ -595,9 +614,7 @@ impl ResultCache {
         let written = tmp_file
             .set_len(0)
             .and_then(|()| tmp_file.seek_to(0))
-            .and_then(|()| {
-                append_durably(tmp_file.as_mut(), &image, crate::journal::TRANSIENT_RETRIES)
-            })
+            .and_then(|()| append_durably(tmp_file.as_mut(), &image, TRANSIENT_RETRIES))
             .and_then(|()| tmp_file.sync_all());
         drop(tmp_file);
         if let Err(source) = written {
@@ -677,13 +694,13 @@ impl ResultCache {
         // transient *write* failure landed nothing and may retry the
         // whole buffer, but once the write succeeded only the flush
         // may retry — re-issuing the buffer there appends it twice.
-        append_durably(self.file.as_mut(), bytes, crate::journal::TRANSIENT_RETRIES).map_err(
-            |source| CacheError::Io {
+        append_durably(self.file.as_mut(), bytes, TRANSIENT_RETRIES).map_err(|source| {
+            CacheError::Io {
                 path: self.path.clone(),
                 op,
                 source,
-            },
-        )?;
+            }
+        })?;
         self.file_len += bytes.len() as u64;
         Ok(())
     }

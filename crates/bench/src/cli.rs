@@ -12,20 +12,14 @@
 //! * `--out <dir>` — redirect the JSON artifacts (threaded explicitly
 //!   through [`BenchArgs::emit_json`]; the parser never mutates the
 //!   process environment);
-//! * `--journal <dir>` — journal completed sweep cells to
-//!   `<dir>/<sweep name>.wal` and resume from it on re-run
-//!   ([`crate::sweep::SweepSpec::run_resumable`] via
-//!   [`BenchArgs::run_sweep`]); the resumed artifact is byte-identical
-//!   to an uninterrupted run;
 //! * `--cache <dir>` — route the sweep through the content-addressed
 //!   result cache at `<dir>` ([`crate::cache`] via
-//!   [`crate::sweep::SweepSpec::run_cached`]): cells already stored
-//!   under `(label, params, seed)` skip their solves, freshly solved
-//!   cells are appended, and the emitted artifact is byte-identical
-//!   either way (mutually exclusive with `--journal` — the cache *is*
-//!   persistence, keyed by content rather than by sweep);
-//! * `--cache-hot <n>` — capacity of the cache's in-memory hot tier of
-//!   decoded reports (`0` disables it; requires `--cache`);
+//!   [`crate::sweep::SweepSpec::run_cached`] and
+//!   [`BenchArgs::run_sweep`]): cells already stored under
+//!   `(label, params, seed)` skip their solves, freshly solved cells
+//!   are appended as they finish, and the emitted artifact is
+//!   byte-identical either way — so re-running a killed sweep with the
+//!   same `--cache` resumes it;
 //! * `--compact` — after a cached run, compact the cache WAL
 //!   ([`crate::cache::ResultCache::compact`]): duplicate frames are
 //!   dropped and the file shrinks, lookups are byte-identical before
@@ -59,12 +53,8 @@ pub struct BenchArgs {
     pub threads: Option<usize>,
     /// `--out`: artifact directory override.
     pub out: Option<PathBuf>,
-    /// `--journal`: directory for resumable sweep journals.
-    pub journal: Option<PathBuf>,
     /// `--cache`: directory of the content-addressed result cache.
     pub cache: Option<PathBuf>,
-    /// `--cache-hot`: hot-tier capacity (decoded reports in memory).
-    pub cache_hot: Option<usize>,
     /// `--compact`: compact the cache WAL after a cached run.
     pub compact: bool,
     /// `--adaptive`: global cell budget for adaptive grid refinement.
@@ -95,8 +85,8 @@ impl BenchArgs {
     /// The usage text printed for `--help`.
     pub fn usage(bin: &str) -> String {
         format!(
-            "usage: {bin} [--seed <u64>] [--threads <n>] [--out <dir>] [--journal <dir>]\n\
-             \x20          [--cache <dir>] [--cache-hot <n>] [--compact]\n\
+            "usage: {bin} [--seed <u64>] [--threads <n>] [--out <dir>]\n\
+             \x20          [--cache <dir>] [--compact]\n\
              \x20          [--adaptive <budget>] [--splitting <trials>]\n\
              \n\
              --seed <u64>    master seed for the sweep (default: the binary's\n\
@@ -105,15 +95,10 @@ impl BenchArgs {
              \x20               all cores; output is byte-identical at any value)\n\
              --out <dir>     directory for JSON artifacts (default: results/,\n\
              \x20               or RB_RESULTS_DIR)\n\
-             --journal <dir> journal completed cells to <dir>/<sweep>.wal and\n\
-             \x20               resume from it on re-run; a resumed run's artifact\n\
-             \x20               is byte-identical to an uninterrupted one\n\
              --cache <dir>   serve repeated cells from the content-addressed\n\
              \x20               result cache at <dir> (and store fresh solves);\n\
-             \x20               the artifact is byte-identical either way;\n\
-             \x20               mutually exclusive with --journal\n\
-             --cache-hot <n> keep up to <n> decoded reports in the cache's\n\
-             \x20               in-memory hot tier (0 disables; requires --cache)\n\
+             \x20               the artifact is byte-identical either way, and\n\
+             \x20               re-running a killed sweep resumes it\n\
              --compact       compact the cache WAL after the run: duplicate\n\
              \x20               frames are dropped, lookups are unchanged\n\
              \x20               (requires --cache)\n\
@@ -142,9 +127,7 @@ impl BenchArgs {
                     out.threads = Some(t);
                 }
                 "--out" => out.out = Some(Self::dir(&arg, args.next())?),
-                "--journal" => out.journal = Some(Self::dir(&arg, args.next())?),
                 "--cache" => out.cache = Some(Self::dir(&arg, args.next())?),
-                "--cache-hot" => out.cache_hot = Some(Self::value(&arg, args.next())?),
                 "--compact" => out.compact = true,
                 "--adaptive" => {
                     out.adaptive = Some(Self::positive(&arg, args.next(), "a cell budget")?)
@@ -155,25 +138,10 @@ impl BenchArgs {
                 other => return Err(ParseError::Invalid(format!("unknown argument `{other}`"))),
             }
         }
-        if out.journal.is_some() && out.cache.is_some() {
+        if out.compact && out.cache.is_none() {
             return Err(ParseError::Invalid(
-                "--journal and --cache are mutually exclusive: the cache already persists \
-                 every completed cell (keyed by content), so journalling on top of it would \
-                 write the same results twice under two recovery policies"
-                    .into(),
+                "--compact requires --cache (it rewrites the cache's WAL)".into(),
             ));
-        }
-        if out.cache.is_none() {
-            if out.cache_hot.is_some() {
-                return Err(ParseError::Invalid(
-                    "--cache-hot requires --cache (it sizes the cache's hot tier)".into(),
-                ));
-            }
-            if out.compact {
-                return Err(ParseError::Invalid(
-                    "--compact requires --cache (it rewrites the cache's WAL)".into(),
-                ));
-            }
         }
         Ok(out)
     }
@@ -222,77 +190,44 @@ impl BenchArgs {
         self.out.as_deref()
     }
 
-    /// The journal file a sweep named `sweep_name` would use under
-    /// `--journal` (one file per sweep, so binaries running several
-    /// specs share one flag without header collisions).
-    pub fn journal_file(&self, sweep_name: &str) -> Option<PathBuf> {
-        self.journal
-            .as_ref()
-            .map(|dir| dir.join(format!("{sweep_name}.wal")))
-    }
-
     /// Runs a sweep honouring the shared flags: plain
-    /// [`SweepSpec::run`] without `--journal`/`--cache`, resumable
-    /// ([`SweepSpec::run_resumable`]) with `--journal`, cache-routed
-    /// ([`SweepSpec::run_cached`]) with `--cache` (hit/miss counts are
+    /// [`SweepSpec::run`] without `--cache`, cache-routed
+    /// ([`SweepSpec::run_cached`]) with it (hit/miss counts are
     /// reported on stderr; the artifact is byte-identical either way).
-    /// A journal or cache that cannot be used (spec mismatch, refused
-    /// corruption, I/O failure) prints its error and exits 2 —
-    /// binaries have no recovery path.
+    /// A cache that cannot be used (refused corruption, I/O failure)
+    /// prints its error and exits 2 — binaries have no recovery path.
     pub fn run_sweep(&self, spec: &SweepSpec) -> SweepReport {
-        if let Some(dir) = &self.cache {
-            let cache = match crate::cache::ResultCache::open(dir) {
-                Ok(mut cache) => {
-                    if let Some(hot) = self.cache_hot {
-                        cache.set_hot_capacity(hot);
-                    }
-                    std::sync::Mutex::new(cache)
-                }
+        let Some(dir) = &self.cache else {
+            return spec.run(self.threads());
+        };
+        let cache = match crate::cache::ResultCache::open(dir) {
+            Ok(cache) => std::sync::Mutex::new(cache),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            }
+        };
+        let out = spec.run_cached(self.threads(), &cache);
+        eprintln!(
+            "[cache] {}: {} hits, {} misses, {} uncacheable",
+            spec.name, out.hits, out.misses, out.uncacheable
+        );
+        if self.compact {
+            let mut cache = cache
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            match cache.compact() {
+                Ok(stats) => eprintln!(
+                    "[cache] {}: compacted {} -> {} bytes ({} entries)",
+                    spec.name, stats.bytes_before, stats.bytes_after, stats.entries
+                ),
                 Err(e) => {
                     eprintln!("error: {e}");
                     std::process::exit(2);
                 }
-            };
-            let out = spec.run_cached(self.threads(), &cache);
-            eprintln!(
-                "[cache] {}: {} hits, {} misses, {} uncacheable",
-                spec.name, out.hits, out.misses, out.uncacheable
-            );
-            if self.compact {
-                let mut cache = cache
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                match cache.compact() {
-                    Ok(stats) => eprintln!(
-                        "[cache] {}: compacted {} -> {} bytes ({} entries)",
-                        spec.name, stats.bytes_before, stats.bytes_after, stats.entries
-                    ),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            return out.report;
-        }
-        match self.journal_file(&spec.name) {
-            None => spec.run(self.threads()),
-            Some(path) => {
-                if let Some(dir) = path.parent() {
-                    if let Err(e) = std::fs::create_dir_all(dir) {
-                        eprintln!("error: create journal dir {}: {e}", dir.display());
-                        std::process::exit(2);
-                    }
-                }
-                match spec.run_resumable(self.threads(), &path) {
-                    Ok(report) => report,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                }
             }
         }
+        out.report
     }
 
     /// Writes an artifact honouring `--out` ([`crate::emit_json_in`]).
@@ -333,7 +268,7 @@ mod tests {
         assert_eq!(a.master_seed(1983), 1983);
         assert!(a.threads() >= 1);
         assert!(a.out_dir().is_none());
-        assert!(a.journal_file("s").is_none());
+        assert!(a.cache.is_none());
     }
 
     #[test]
@@ -345,52 +280,30 @@ mod tests {
             "3",
             "--out",
             "/tmp/x",
-            "--journal",
-            "/tmp/j",
+            "--cache",
+            "/tmp/c",
+            "--compact",
             "--adaptive",
             "128",
             "--splitting",
             "4096",
         ])
         .unwrap();
-        assert!(a.cache.is_none());
         assert_eq!(a.seed, Some(42));
         assert_eq!(a.threads, Some(3));
         assert_eq!(a.out_dir(), Some(Path::new("/tmp/x")));
         assert_eq!(a.master_seed(1983), 42);
         assert_eq!(a.threads(), 3);
-        assert_eq!(
-            a.journal_file("fig7_sync_sweep"),
-            Some(PathBuf::from("/tmp/j/fig7_sync_sweep.wal"))
-        );
+        assert_eq!(a.cache, Some(PathBuf::from("/tmp/c")));
+        assert!(a.compact);
         assert_eq!(a.adaptive, Some(128));
         assert_eq!(a.splitting, Some(4096));
     }
 
     #[test]
-    fn cache_flag_parses_and_excludes_journal() {
-        let a = parse(&["--cache", "/tmp/c"]).unwrap();
-        assert_eq!(a.cache, Some(PathBuf::from("/tmp/c")));
+    fn compact_requires_the_cache() {
         assert!(invalid(&["--cache", ""]).contains("requires a directory"));
-        let msg = invalid(&["--cache", "/tmp/c", "--journal", "/tmp/j"]);
-        assert!(msg.contains("mutually exclusive"), "{msg}");
-    }
-
-    #[test]
-    fn cache_lifecycle_flags_require_the_cache() {
-        let a = parse(&["--cache", "/tmp/c", "--cache-hot", "8", "--compact"]).unwrap();
-        assert_eq!(a.cache_hot, Some(8));
-        assert!(a.compact);
-        // `--cache-hot 0` is a valid way to disable the hot tier.
-        assert_eq!(
-            parse(&["--cache", "/tmp/c", "--cache-hot", "0"])
-                .unwrap()
-                .cache_hot,
-            Some(0)
-        );
-        assert!(invalid(&["--cache-hot", "8"]).contains("requires --cache"));
         assert!(invalid(&["--compact"]).contains("requires --cache"));
-        assert!(invalid(&["--cache", "/tmp/c", "--cache-hot", "x"]).contains("invalid value"));
     }
 
     #[test]
@@ -420,7 +333,6 @@ mod tests {
         assert!(invalid(&["--seed"]).contains("requires a value"));
         assert!(invalid(&["--seed", "abc"]).contains("invalid value"));
         assert!(invalid(&["--out"]).contains("requires a directory"));
-        assert!(invalid(&["--journal", ""]).contains("requires a directory"));
         assert!(invalid(&["--frobnicate"]).contains("unknown argument"));
     }
 
@@ -431,9 +343,7 @@ mod tests {
             "--seed",
             "--threads",
             "--out",
-            "--journal",
             "--cache",
-            "--cache-hot",
             "--compact",
             "--adaptive",
             "--splitting",

@@ -1,172 +1,31 @@
-//! The sweep journal: crash-safe, resumable sweeps with a
-//! byte-identical replay guarantee.
+//! The bit-exact report codec: a [`CellReport`] as bytes, with every
+//! `f64` stored as its raw IEEE-754 bits.
 //!
-//! A preempted million-cell sweep should not lose its finished cells.
-//! Because every cell's randomness derives purely from
-//! `(master_seed, seed index)` ([`rbsim::derive_seed`], where the seed
-//! index is the grid position unless the cell overrides it — see
-//! [`crate::sweep::SweepCell::seed_index`]), a finished
-//! [`CellReport`] is a pure function of the [`SweepSpec`] — so a journal
-//! of completed cells can be replayed on restart and the reassembled
-//! [`crate::sweep::SweepReport`] is **byte-identical** to an
-//! uninterrupted run (`spec.run(1)`). That equivalence is a standing CI
-//! invariant: `tests/sweep_resume.rs` kills a sweep mid-flight
-//! (SIGKILL), resumes it from the journal, and `diff`s the artifact
-//! bytes against an uninterrupted run.
+//! The result cache ([`crate::cache`]) stores each entry's payload in
+//! this encoding, so a replayed report is bit-identical to the solved
+//! one — including NaN quantiles of empty histograms, which JSON could
+//! not round-trip. [`validate_report_roundtrip`] is the acceptance test
+//! the recovery-block layers (rbserve's cell-retry loop, the chaos
+//! harnesses) run on a freshly solved cell before committing it.
 //!
-//! ## On-disk format
+//! Layout, little-endian throughout: the id (u32-length-prefixed
+//! UTF-8), the seed (u64), the metric count (u32), then each metric —
+//! tag 0 for a scalar (name, value, std_err, count, ok) or tag 1 for a
+//! distribution (name, ok, support, bin counts, under/overflow, count,
+//! mean, quantiles).
 //!
-//! The journal is an append-only sequence of [`rbruntime::wal`] frames
-//! (`[len: u32 LE][fnv1a64 checksum: u64 LE][payload]`):
-//!
-//! * **frame 0 — header.** Binds the journal to one spec and one code
-//!   version: format version, crate version, sweep name, master seed,
-//!   cell count, and an FNV-1a hash of the full cell-id list together
-//!   with each cell's seed-derivation index. A journal
-//!   whose header does not match the spec being resumed is **refused**
-//!   ([`JournalError::SpecMismatch`]) — replaying cells from a
-//!   different grid would silently produce a divergent report.
-//! * **frames 1…— cell records.** One per completed cell, appended (and
-//!   flushed) the moment the cell finishes, in completion order — which
-//!   under parallel dispatch is *not* grid order; replay re-slots each
-//!   record by its stored index. The payload carries the cell index,
-//!   id, derived seed and the full metric vector with `f64`s stored as
-//!   raw IEEE-754 bits, so replayed values are bit-exact (including
-//!   NaN quantiles of empty histograms, which JSON could not round-trip).
-//!
-//! ## Recovery rules
-//!
-//! * **Torn tail** (killed mid-write) or a **checksum-mismatched
-//!   record**: the scan stops at the last intact frame, the file is
-//!   truncated there, and the affected cells simply re-run. Records
-//!   *after* a corrupt one are dropped too — their cells re-run; the
-//!   report never diverges, it is only recomputed.
-//! * **Intact but undecodable or inconsistent records** (unknown tag,
-//!   out-of-range index, duplicate index, id/seed that contradict the
-//!   spec): **refused** with a clear error naming the journal — a
-//!   checksummed-yet-wrong record means the file is not this sweep's
-//!   journal (or was written by incompatible code), and re-running
-//!   "around" it could mask a real mismatch.
-//! * **Unreadable header**: refused; delete the journal to start fresh.
-//!
-//! One writer at a time: the journal has no inter-process lock; drive a
-//! given journal file from a single process.
-
-use std::fmt;
-use std::path::{Path, PathBuf};
+//! The module name is historical; `rbserve` and the benchmark import
+//! [`validate_report_roundtrip`] by this path.
 
 use rbcore::metrics::{DistSummary, Metric, Quantile};
-use rbruntime::faultio::{append_durably, FileIo, Fs, RealFs};
-use rbruntime::wal::{fnv1a64, write_frame, FrameScan};
-use rbsim::derive_seed;
 
-use crate::sweep::{CellReport, SweepSpec};
-
-/// Version of the journal's record encoding; bumped on any layout *or
-/// validation-semantics* change so stale journals are refused instead
-/// of misread. v2: the header's cell-list hash binds each cell's
-/// **seed-derivation index** (see [`crate::sweep::SweepCell::seed_index`])
-/// alongside its id, and record seeds are validated against that index
-/// — required for the dynamically added cells of adaptive refinement,
-/// and invalidating v1 journals whose hash covered ids alone.
-pub const FORMAT_VERSION: u16 = 2;
-
-const TAG_HEADER: u8 = 1;
-const TAG_CELL: u8 = 2;
-
-/// Why a journal could not be opened, replayed or appended to.
-#[derive(Debug)]
-pub enum JournalError {
-    /// Filesystem-level failure.
-    Io {
-        /// The journal path.
-        path: PathBuf,
-        /// What was being attempted.
-        op: &'static str,
-        /// The underlying error.
-        source: std::io::Error,
-    },
-    /// The journal's header is intact but describes a different sweep
-    /// (or was written by an incompatible code version).
-    SpecMismatch {
-        /// The journal path.
-        path: PathBuf,
-        /// Which binding field disagreed.
-        field: &'static str,
-        /// The value recorded in the journal.
-        journal: String,
-        /// The value the spec being resumed expects.
-        spec: String,
-    },
-    /// The journal cannot be trusted: unreadable header, or an intact
-    /// (checksummed) record that contradicts itself. Delete the journal
-    /// to start fresh.
-    Refused {
-        /// The journal path.
-        path: PathBuf,
-        /// The offending frame: 0 is the header, frame `k ≥ 1` is the
-        /// `k`-th cell record — so an operator can inspect (or surgically
-        /// truncate before) the exact frame without a debugger.
-        frame: u64,
-        /// What was wrong.
-        reason: String,
-    },
-}
-
-impl fmt::Display for JournalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JournalError::Io { path, op, source } => {
-                write!(f, "sweep journal {}: {op}: {source}", path.display())
-            }
-            JournalError::SpecMismatch {
-                path,
-                field,
-                journal,
-                spec,
-            } => write!(
-                f,
-                "sweep journal {}: header/spec mismatch on {field}: journal has {journal}, \
-                 the spec being resumed has {spec} — refusing to replay (a different sweep's \
-                 journal would produce a divergent report); delete the journal to start fresh",
-                path.display()
-            ),
-            JournalError::Refused {
-                path,
-                frame,
-                reason,
-            } => write!(
-                f,
-                "sweep journal {}: frame {frame}: {reason} — refusing to replay; delete the \
-                 journal to start fresh",
-                path.display()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for JournalError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            JournalError::Io { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-// --- binary record codec ----------------------------------------------
-//
-// Little-endian throughout; strings are u32-length-prefixed UTF-8;
-// f64s are stored as raw IEEE-754 bits so replay is bit-exact.
+use crate::sweep::CellReport;
 
 struct Enc(Vec<u8>);
 
 impl Enc {
     fn u8(&mut self, v: u8) {
         self.0.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
     }
     fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
@@ -206,9 +65,6 @@ impl<'a> Dec<'a> {
 
     fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
     fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
@@ -326,35 +182,16 @@ fn decode_metric(dec: &mut Dec) -> Result<Metric, String> {
     }
 }
 
-fn encode_report_into(enc: &mut Enc, report: &CellReport) {
+/// Encodes a [`CellReport`] — id, seed, metric vector with `f64`s as
+/// raw bits — with no framing: the payload of a cache entry.
+pub(crate) fn encode_report_payload(report: &CellReport) -> Vec<u8> {
+    let mut enc = Enc(Vec::new());
     enc.str(&report.id);
     enc.u64(report.seed);
     enc.u32(report.metrics.len() as u32);
     for m in &report.metrics {
-        encode_metric(enc, m);
+        encode_metric(&mut enc, m);
     }
-}
-
-fn decode_report_from(dec: &mut Dec) -> Result<CellReport, String> {
-    let id = dec.str()?;
-    let seed = dec.u64()?;
-    let n = dec.u32()? as usize;
-    let mut metrics = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        metrics.push(decode_metric(dec)?);
-    }
-    Ok(CellReport { id, seed, metrics })
-}
-
-/// Encodes a bare [`CellReport`] body — id, seed, metric vector with
-/// `f64`s as raw bits — with no index or framing. This is the shared
-/// bit-exact payload codec behind both the journal's cell records and
-/// the result cache's entries (`crate::cache`); the journal wraps it
-/// in `[TAG_CELL][index]`, so journal bytes are unchanged by the
-/// factoring.
-pub(crate) fn encode_report_payload(report: &CellReport) -> Vec<u8> {
-    let mut enc = Enc(Vec::new());
-    encode_report_into(&mut enc, report);
     enc.0
 }
 
@@ -362,17 +199,23 @@ pub(crate) fn encode_report_payload(report: &CellReport) -> Vec<u8> {
 /// trailing bytes.
 pub(crate) fn decode_report_payload(payload: &[u8]) -> Result<CellReport, String> {
     let mut dec = Dec::new(payload);
-    let report = decode_report_from(&mut dec)?;
+    let id = dec.str()?;
+    let seed = dec.u64()?;
+    let n = dec.u32()? as usize;
+    let mut metrics = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        metrics.push(decode_metric(&mut dec)?);
+    }
     dec.finish()?;
-    Ok(report)
+    Ok(CellReport { id, seed, metrics })
 }
 
-/// Validates that `report` survives the journal/cache payload codec
-/// bit-exactly: encode → decode → re-encode must reproduce the same
-/// bytes. This is the *acceptance test* the recovery-block layers run
-/// on a freshly solved cell before committing it (rbserve's cell-retry
-/// loop, chaos harnesses): a report this check rejects could never be
-/// journaled, cached, or replayed faithfully.
+/// Validates that `report` survives the payload codec bit-exactly:
+/// encode → decode → re-encode must reproduce the same bytes. This is
+/// the *acceptance test* the recovery-block layers run on a freshly
+/// solved cell before committing it (rbserve's cell-retry loop, chaos
+/// harnesses): a report this check rejects could never be cached or
+/// replayed faithfully.
 pub fn validate_report_roundtrip(report: &CellReport) -> Result<(), String> {
     let bytes = encode_report_payload(report);
     let back = decode_report_payload(&bytes)?;
@@ -382,360 +225,12 @@ pub fn validate_report_roundtrip(report: &CellReport) -> Result<(), String> {
     Ok(())
 }
 
-fn encode_cell(index: usize, report: &CellReport) -> Vec<u8> {
-    let mut enc = Enc(Vec::new());
-    enc.u8(TAG_CELL);
-    enc.u64(index as u64);
-    encode_report_into(&mut enc, report);
-    enc.0
-}
-
-fn decode_cell(payload: &[u8]) -> Result<(usize, CellReport), String> {
-    let mut dec = Dec::new(payload);
-    match dec.u8()? {
-        TAG_CELL => {}
-        tag => return Err(format!("unexpected record tag {tag} (wanted cell record)")),
-    }
-    let index = dec.u64()? as usize;
-    let report = decode_report_from(&mut dec)?;
-    dec.finish()?;
-    Ok((index, report))
-}
-
-/// The spec-binding hash over the full cell-id list (each id hashed
-/// with its length, so `["ab","c"]` ≠ `["a","bc"]`) *and* each cell's
-/// effective seed-derivation index. Adaptive refinement adds cells
-/// dynamically with explicit seed indices; binding them here means a
-/// journal can never replay a record into a cell whose seed convention
-/// changed, even when the ids line up.
-fn ids_hash(spec: &SweepSpec) -> u64 {
-    let mut buf = Vec::new();
-    for (idx, cell) in spec.cells.iter().enumerate() {
-        buf.extend_from_slice(&(cell.id.len() as u64).to_le_bytes());
-        buf.extend_from_slice(cell.id.as_bytes());
-        buf.extend_from_slice(&spec.seed_index(idx).to_le_bytes());
-    }
-    fnv1a64(&buf)
-}
-
-fn encode_header(spec: &SweepSpec) -> Vec<u8> {
-    let mut enc = Enc(Vec::new());
-    enc.u8(TAG_HEADER);
-    enc.u16(FORMAT_VERSION);
-    enc.str(env!("CARGO_PKG_VERSION"));
-    enc.str(&spec.name);
-    enc.u64(spec.master_seed);
-    enc.u64(spec.cells.len() as u64);
-    enc.u64(ids_hash(spec));
-    enc.0
-}
-
-struct Header {
-    format_version: u16,
-    code_version: String,
-    sweep: String,
-    master_seed: u64,
-    cell_count: u64,
-    ids_hash: u64,
-}
-
-fn decode_header(payload: &[u8]) -> Result<Header, String> {
-    let mut dec = Dec::new(payload);
-    match dec.u8()? {
-        TAG_HEADER => {}
-        tag => return Err(format!("first record has tag {tag}, not a journal header")),
-    }
-    let header = Header {
-        format_version: dec.u16()?,
-        code_version: dec.str()?,
-        sweep: dec.str()?,
-        master_seed: dec.u64()?,
-        cell_count: dec.u64()?,
-        ids_hash: dec.u64()?,
-    };
-    dec.finish()?;
-    Ok(header)
-}
-
-/// An open, append-mode sweep journal (created by
-/// [`SweepJournal::open`] — or [`SweepJournal::open_in`] to inject the
-/// filesystem — fed by [`SweepJournal::append`]).
-pub struct SweepJournal {
-    path: PathBuf,
-    file: Box<dyn FileIo>,
-}
-
-impl SweepJournal {
-    /// [`SweepJournal::open_in`] on the real filesystem.
-    pub fn open(
-        path: &Path,
-        spec: &SweepSpec,
-    ) -> Result<(SweepJournal, Vec<(usize, CellReport)>), JournalError> {
-        SweepJournal::open_in(&RealFs, path, spec)
-    }
-
-    /// Opens (or creates) the journal at `path` for `spec` on the
-    /// filesystem `fs`, replaying every intact cell record.
-    ///
-    /// Returns the journal positioned for appending plus the replayed
-    /// `(cell index, report)` pairs. A fresh or empty file gets a
-    /// header written immediately; an existing file is validated
-    /// against the spec (name, master seed, cell count, cell-id hash,
-    /// code version) and its torn tail — if any — is truncated away.
-    ///
-    /// `fs` is the [`rbruntime::faultio`] seam: production callers pass
-    /// [`RealFs`] (what [`SweepJournal::open`] does); chaos harnesses
-    /// pass a [`rbruntime::faultio::FaultyFs`] so every recovery rule
-    /// here is exercised by sweeps over seeded fault schedules.
-    pub fn open_in(
-        fs: &dyn Fs,
-        path: &Path,
-        spec: &SweepSpec,
-    ) -> Result<(SweepJournal, Vec<(usize, CellReport)>), JournalError> {
-        let io = |op: &'static str| {
-            let path = path.to_path_buf();
-            move |source: std::io::Error| JournalError::Io { path, op, source }
-        };
-        let mut file = fs.open_rw(path).map_err(io("open"))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(io("read"))?;
-
-        let mut journal = SweepJournal {
-            path: path.to_path_buf(),
-            file,
-        };
-        if bytes.is_empty() {
-            journal.write_all(&framed(&encode_header(spec)), "write header")?;
-            return Ok((journal, Vec::new()));
-        }
-
-        let refuse = |frame: u64, reason: String| JournalError::Refused {
-            path: path.to_path_buf(),
-            frame,
-            reason,
-        };
-        let mut scan = FrameScan::new(&bytes);
-        let header = scan
-            .next()
-            .ok_or_else(|| refuse(0, "unreadable journal header (torn or corrupt)".into()))
-            .and_then(|payload| decode_header(payload).map_err(|r| refuse(0, r)))?;
-        let mismatch = |field: &'static str, journal: String, spec: String| {
-            Err(JournalError::SpecMismatch {
-                path: path.to_path_buf(),
-                field,
-                journal,
-                spec,
-            })
-        };
-        if header.format_version != FORMAT_VERSION {
-            mismatch(
-                "format version",
-                header.format_version.to_string(),
-                FORMAT_VERSION.to_string(),
-            )?;
-        }
-        if header.code_version != env!("CARGO_PKG_VERSION") {
-            mismatch(
-                "code version",
-                header.code_version.clone(),
-                env!("CARGO_PKG_VERSION").into(),
-            )?;
-        }
-        if header.sweep != spec.name {
-            mismatch(
-                "sweep name",
-                format!("`{}`", header.sweep),
-                format!("`{}`", spec.name),
-            )?;
-        }
-        if header.master_seed != spec.master_seed {
-            mismatch(
-                "master seed",
-                header.master_seed.to_string(),
-                spec.master_seed.to_string(),
-            )?;
-        }
-        if header.cell_count != spec.cells.len() as u64 {
-            mismatch(
-                "cell count",
-                header.cell_count.to_string(),
-                spec.cells.len().to_string(),
-            )?;
-        }
-        if header.ids_hash != ids_hash(spec) {
-            mismatch(
-                "cell-id list hash",
-                format!("{:#018x}", header.ids_hash),
-                format!("{:#018x}", ids_hash(spec)),
-            )?;
-        }
-
-        let mut replayed: Vec<(usize, CellReport)> = Vec::new();
-        let mut seen = vec![false; spec.cells.len()];
-        let mut frame: u64 = 0;
-        for payload in scan.by_ref() {
-            frame += 1;
-            let (index, report) = decode_cell(payload).map_err(|r| refuse(frame, r))?;
-            if index >= spec.cells.len() {
-                return Err(refuse(
-                    frame,
-                    format!(
-                        "record for cell index {index}, but the sweep has only {} cells",
-                        spec.cells.len()
-                    ),
-                ));
-            }
-            if seen[index] {
-                return Err(refuse(
-                    frame,
-                    format!("duplicate record for cell index {index}"),
-                ));
-            }
-            if report.id != spec.cells[index].id {
-                return Err(refuse(
-                    frame,
-                    format!(
-                        "record {index} names cell `{}` but the spec's cell {index} is `{}`",
-                        report.id, spec.cells[index].id
-                    ),
-                ));
-            }
-            let seed_index = spec.seed_index(index);
-            let expected_seed = derive_seed(spec.master_seed, seed_index);
-            if report.seed != expected_seed {
-                return Err(refuse(
-                    frame,
-                    format!(
-                        "record {index} carries seed {} but derive_seed(master, {seed_index}) \
-                         gives {expected_seed}",
-                        report.seed
-                    ),
-                ));
-            }
-            seen[index] = true;
-            replayed.push((index, report));
-        }
-
-        // Discard the torn (or checksum-mismatched) tail, if any: the
-        // cells it covered will simply re-run and be re-appended.
-        let valid = scan.offset();
-        if valid < bytes.len() {
-            journal
-                .file
-                .set_len(valid as u64)
-                .map_err(io("truncate torn tail"))?;
-        }
-        journal.file.seek_to(valid as u64).map_err(io("seek"))?;
-        Ok((journal, replayed))
-    }
-
-    /// Appends (and flushes) one completed cell record.
-    pub fn append(&mut self, index: usize, report: &CellReport) -> Result<(), JournalError> {
-        self.write_all(&framed(&encode_cell(index, report)), "append cell record")
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one framed record, absorbing up to
-    /// [`TRANSIENT_RETRIES`] transient (`WouldBlock`-style) failures
-    /// per stage. Write and flush retry **independently**
-    /// ([`rbruntime::faultio::append_durably`]): a transient write
-    /// failure landed nothing and may retry the whole buffer, but a
-    /// transient *flush* failure after the write succeeded may retry
-    /// only the flush — re-issuing the buffer would append the record
-    /// twice, and replay refuses duplicate journal records.
-    fn write_all(&mut self, bytes: &[u8], op: &'static str) -> Result<(), JournalError> {
-        append_durably(self.file.as_mut(), bytes, TRANSIENT_RETRIES).map_err(|source| {
-            JournalError::Io {
-                path: self.path.clone(),
-                op,
-                source,
-            }
-        })
-    }
-}
-
-/// Transient write failures absorbed before an append surfaces as
-/// [`JournalError::Io`] — the journal's own small recovery block.
-pub const TRANSIENT_RETRIES: u32 = 3;
-
-fn framed(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + rbruntime::wal::FRAME_OVERHEAD);
-    write_frame(&mut out, payload);
-    out
-}
-
-/// A structural summary of a journal file, for tests and diagnostics —
-/// no spec needed, nothing decoded beyond the framing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JournalStats {
-    /// Byte offset where each cell record's frame starts (the header
-    /// frame ends at `record_offsets[0]`, or at `valid_len` if there
-    /// are no records).
-    pub record_offsets: Vec<usize>,
-    /// Length of the intact prefix (every byte beyond it is torn or
-    /// corrupt).
-    pub valid_len: usize,
-    /// Total file length.
-    pub total_len: usize,
-}
-
-impl JournalStats {
-    /// Number of intact cell records.
-    pub fn records(&self) -> usize {
-        self.record_offsets.len()
-    }
-
-    /// The truncation point that keeps exactly the first `n` intact
-    /// cell records (plus the header).
-    pub fn keep_records(&self, n: usize) -> usize {
-        match self.record_offsets.get(n) {
-            Some(&off) => off,
-            None => self.valid_len,
-        }
-    }
-}
-
-/// Scans the framing of the journal at `path`.
-pub fn inspect(path: &Path) -> Result<JournalStats, JournalError> {
-    let bytes = std::fs::read(path).map_err(|source| JournalError::Io {
-        path: path.to_path_buf(),
-        op: "read",
-        source,
-    })?;
-    let mut scan = FrameScan::new(&bytes);
-    let mut record_offsets = Vec::new();
-    let mut first = true;
-    loop {
-        let offset = scan.offset();
-        if scan.next().is_none() {
-            break;
-        }
-        if !first {
-            record_offsets.push(offset);
-        }
-        first = false;
-    }
-    Ok(JournalStats {
-        record_offsets,
-        valid_len: scan.offset(),
-        total_len: bytes.len(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(report: &CellReport, index: usize) -> (usize, CellReport) {
-        decode_cell(&encode_cell(index, report)).expect("decode")
-    }
-
     #[test]
-    fn cell_records_round_trip_bit_exactly() {
+    fn reports_round_trip_bit_exactly() {
         let report = CellReport {
             id: "n3/mu1/lam0.5".into(),
             seed: u64::MAX - 17, // full 64-bit fidelity (JSON would lose this)
@@ -771,8 +266,7 @@ mod tests {
                 },
             ],
         };
-        let (index, got) = roundtrip(&report, 41);
-        assert_eq!(index, 41);
+        let got = decode_report_payload(&encode_report_payload(&report)).expect("decode");
         assert_eq!(got.id, report.id);
         assert_eq!(got.seed, report.seed);
         assert_eq!(got.metrics.len(), report.metrics.len());
@@ -789,174 +283,29 @@ mod tests {
         );
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.quantiles[1].x.to_bits(), b.quantiles[1].x.to_bits());
+        validate_report_roundtrip(&report).expect("acceptance test passes");
     }
 
     #[test]
-    fn decode_rejects_trailing_garbage_and_bad_tags() {
+    fn decode_rejects_trailing_garbage_bad_tags_and_truncation() {
         let report = CellReport {
             id: "c".into(),
             seed: 7,
             metrics: vec![Metric::exact("v", 1.0)],
         };
-        let mut bytes = encode_cell(3, &report);
+        let whole = encode_report_payload(&report);
+        let mut bytes = whole.clone();
         bytes.push(0xAB);
-        assert!(decode_cell(&bytes).unwrap_err().contains("trailing"));
-        let mut bytes = encode_cell(3, &report);
-        bytes[0] = 0x77;
-        assert!(decode_cell(&bytes).unwrap_err().contains("tag"));
-        let whole = encode_cell(3, &report);
-        assert!(decode_cell(&whole[..4]).unwrap_err().contains("truncated"));
-    }
-
-    use crate::sweep::SweepCell;
-    use rbcore::workload::Workload;
-
-    struct Nop;
-    impl Workload for Nop {
-        fn label(&self) -> String {
-            "nop".into()
-        }
-        fn run(&self, _seed: u64) -> Vec<Metric> {
-            Vec::new()
-        }
-    }
-
-    /// A two-cell spec whose cells optionally override their
-    /// seed-derivation index.
-    fn spec_with(master_seed: u64, indices: [Option<u64>; 2]) -> SweepSpec {
-        let cells = ["a", "b"]
-            .into_iter()
-            .zip(indices)
-            .map(|(id, idx)| {
-                let cell = SweepCell::named(id, Nop);
-                match idx {
-                    Some(i) => cell.with_seed_index(i),
-                    None => cell,
-                }
-            })
-            .collect();
-        SweepSpec::new("s", master_seed, cells)
-    }
-
-    fn scratch(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("rbbench-journal-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        dir
-    }
-
-    #[test]
-    fn transient_flush_failure_appends_exactly_one_record() {
-        use rbruntime::faultio::{FaultPlan, FaultyFs};
-        let dir = scratch("flush-retry");
-        let path = dir.join("s.wal");
-        let spec = spec_with(5, [None, None]);
-        drop(SweepJournal::open(&path, &spec).expect("fresh open"));
-        // A flush hiccup *after* the record's bytes landed: the retry
-        // must re-flush, not re-write — a doubled record is exactly
-        // what replay refuses as a duplicate index.
-        let fs = FaultyFs::new(FaultPlan::new(0, 0).with_rate(0).with_flush_transients(1));
-        let (mut journal, replayed) = SweepJournal::open_in(&fs, &path, &spec).expect("reopen");
-        assert!(replayed.is_empty());
-        let report = CellReport {
-            id: "a".into(),
-            seed: derive_seed(5, 0),
-            metrics: Vec::new(),
-        };
-        journal
-            .append(0, &report)
-            .expect("append absorbs the fault");
-        assert_eq!(fs.faults_injected(), 1, "the flush fault fired");
-        drop(journal);
-        assert_eq!(
-            inspect(&path).unwrap().records(),
-            1,
-            "one record on disk — a flush retry must not re-append"
-        );
-        let (_, replayed) = SweepJournal::open(&path, &spec).expect("replay accepts the file");
-        assert_eq!(replayed.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn ids_hash_separates_id_boundaries() {
-        let spec_a = SweepSpec::new(
-            "s",
-            1,
-            vec![SweepCell::named("ab", Nop), SweepCell::named("c", Nop)],
-        );
-        let spec_b = SweepSpec::new(
-            "s",
-            1,
-            vec![SweepCell::named("a", Nop), SweepCell::named("bc", Nop)],
-        );
-        assert_ne!(ids_hash(&spec_a), ids_hash(&spec_b));
-    }
-
-    #[test]
-    fn ids_hash_binds_seed_indices() {
-        // Same ids, same grid — only one cell's seed-derivation index
-        // differs. The header hash must treat that as a different spec.
-        let plain = spec_with(1, [None, None]);
-        let shifted = spec_with(1, [None, Some(1 << 40)]);
-        assert_ne!(ids_hash(&plain), ids_hash(&shifted));
-        // Spelling out the default indices explicitly changes nothing.
-        let explicit = spec_with(1, [Some(0), Some(1)]);
-        assert_eq!(ids_hash(&plain), ids_hash(&explicit));
-    }
-
-    #[test]
-    fn reopening_under_a_different_seed_convention_is_a_spec_mismatch() {
-        let dir = scratch("seed-convention");
-        let path = dir.join("s.wal");
-        let plain = spec_with(9, [None, None]);
-        let (journal, replayed) = SweepJournal::open(&path, &plain).expect("fresh open");
-        assert!(replayed.is_empty());
-        drop(journal);
-        let shifted = spec_with(9, [None, Some(1 << 40)]);
-        let err = match SweepJournal::open(&path, &shifted) {
-            Ok(_) => panic!("journal must refuse a changed seed convention"),
-            Err(err) => err,
-        };
-        match &err {
-            JournalError::SpecMismatch { field, .. } => assert_eq!(*field, "cell-id list hash"),
-            other => panic!("wanted SpecMismatch, got {other}"),
-        }
-        let msg = err.to_string();
-        assert!(msg.contains("cell-id list hash"), "message: {msg}");
-        assert!(msg.contains("refusing to replay"), "message: {msg}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn record_seeded_under_the_wrong_index_is_refused() {
-        // Forge a record whose seed was derived from the grid position
-        // even though the spec's cell overrides its seed index — the
-        // refusal must name the expected index so the mismatch is
-        // diagnosable.
-        let dir = scratch("wrong-seed");
-        let path = dir.join("s.wal");
-        let spec = spec_with(9, [None, Some(1 << 40)]);
-        let (mut journal, _) = SweepJournal::open(&path, &spec).expect("fresh open");
-        let report = CellReport {
-            id: "b".into(),
-            seed: derive_seed(9, 1), // grid-position convention, not 1 << 40
-            metrics: Vec::new(),
-        };
-        journal.append(1, &report).expect("append");
-        drop(journal);
-        let err = match SweepJournal::open(&path, &spec) {
-            Ok(_) => panic!("journal must refuse a wrong-seed record"),
-            Err(err) => err,
-        };
-        assert!(matches!(err, JournalError::Refused { .. }), "got {err}");
-        let msg = err.to_string();
-        assert!(msg.contains("carries seed"), "message: {msg}");
-        assert!(
-            msg.contains(&format!("derive_seed(master, {})", 1u64 << 40)),
-            "message: {msg}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(decode_report_payload(&bytes)
+            .unwrap_err()
+            .contains("trailing"));
+        // The metric tag follows the id (4 + 1 bytes), seed (8) and
+        // metric count (4).
+        let mut bytes = whole.clone();
+        bytes[17] = 0x77;
+        assert!(decode_report_payload(&bytes).unwrap_err().contains("tag"));
+        assert!(decode_report_payload(&whole[..4])
+            .unwrap_err()
+            .contains("truncated"));
     }
 }

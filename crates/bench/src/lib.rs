@@ -16,17 +16,15 @@
 //!   where a metric jumps, under a global cell budget, with
 //!   path-determined per-point seeds so the refined profile is
 //!   byte-identical at any thread count and through kill/resume;
-//! * [`journal`] — the WAL-style sweep journal behind
-//!   [`sweep::SweepSpec::run_resumable`]: completed cells are appended
-//!   to an on-disk log and replayed on restart, byte-identical to an
-//!   uninterrupted run;
 //! * [`cache`] — the content-addressed result cache behind
 //!   [`sweep::SweepSpec::run_cached`] and the `rbserve` server: completed
 //!   cells stored under `(label, canonical params, seed, format version)`
 //!   keys in a WAL-backed store, so repeated cells cost a hash lookup,
-//!   not a solve — and a killed server restarts warm;
+//!   not a solve — and a killed server or sweep resumes warm;
+//! * [`journal`] — the bit-exact report codec the cache stores its
+//!   payloads in, plus the round-trip acceptance test;
 //! * [`cli`] — the shared `--seed` / `--threads` / `--out` /
-//!   `--journal` / `--cache` / `--adaptive` / `--splitting` flag parser
+//!   `--cache` / `--compact` / `--adaptive` / `--splitting` flag parser
 //!   every binary uses;
 //! * [`emit_json`] / [`emit_json_in`] / [`artifact_json`] — the one
 //!   JSON artifact writer every binary funnels through

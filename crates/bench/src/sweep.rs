@@ -48,7 +48,7 @@
 use rbcore::workload::AsyncIntervals;
 use rbmarkov::paper::AsyncParams;
 use rbsim::derive_seed;
-use rbsim::par::{available_threads, par_map_batched, par_map_sparse};
+use rbsim::par::{available_threads, par_map_batched};
 use rbtestutil::{standard_matrix, ConformanceWorkload, SchemeConformance};
 use serde::Serialize;
 
@@ -246,10 +246,9 @@ impl SweepSpec {
     ///
     /// # Panics
     /// Panics if two cells share an id. Ids are how binaries look cells
-    /// up ([`SweepReport::cell`] returns the *first* match) and how the
-    /// resume journal re-slots replayed records — a duplicate would
-    /// silently shadow one cell's results, so it is rejected here, at
-    /// construction, naming the offending id.
+    /// up ([`SweepReport::cell`] returns the *first* match) — a
+    /// duplicate would silently shadow one cell's results, so it is
+    /// rejected here, at construction, naming the offending id.
     pub fn new(name: impl Into<String>, master_seed: u64, cells: Vec<SweepCell>) -> Self {
         let name = name.into();
         let mut seen = std::collections::HashSet::with_capacity(cells.len());
@@ -274,8 +273,8 @@ impl SweepSpec {
 
     /// The seed-derivation index of cell `idx`: its explicit
     /// [`SweepCell::seed_index`] override, or its grid position. Part
-    /// of the sweep's identity — the journal binds it into the header
-    /// hash and validates every record's seed against it.
+    /// of the sweep's identity — it determines the cell's derived seed,
+    /// and so its cache key.
     pub fn seed_index(&self, idx: usize) -> u64 {
         self.cells[idx].seed_index.unwrap_or(idx as u64)
     }
@@ -339,81 +338,14 @@ impl SweepSpec {
         }
     }
 
-    /// [`SweepSpec::run`] with a write-ahead journal: completed cells
-    /// are appended to `journal_path` as they finish, and a re-run of
-    /// the same spec against the same journal **resumes** — intact
-    /// records are replayed, a torn tail is discarded, and only the
-    /// missing cell indices are dispatched (through the same sparse
-    /// cursor, under the same `(master_seed, index)` seeds), so the
-    /// reassembled report is byte-identical to an uninterrupted
-    /// `spec.run(1)`. See [`crate::journal`] for the record format and
-    /// the recovery rules; a journal written by a *different* spec is
-    /// refused rather than replayed.
-    pub fn run_resumable(
-        &self,
-        threads: usize,
-        journal_path: &std::path::Path,
-    ) -> Result<SweepReport, crate::journal::JournalError> {
-        self.run_resumable_in(&rbruntime::faultio::RealFs, threads, journal_path)
-    }
-
-    /// [`SweepSpec::run_resumable`] with an injectable filesystem: the
-    /// chaos harness passes an [`rbruntime::faultio::FaultyFs`] here so
-    /// the journal's truncate-vs-refuse policy is exercised by sweeps
-    /// over seeded fault schedules. A mid-run journal append failure
-    /// still panics (that panic *is* the simulated crash — the caller
-    /// catches it and resumes against the real filesystem).
-    pub fn run_resumable_in(
-        &self,
-        fs: &dyn rbruntime::faultio::Fs,
-        threads: usize,
-        journal_path: &std::path::Path,
-    ) -> Result<SweepReport, crate::journal::JournalError> {
-        let (journal, replayed) = crate::journal::SweepJournal::open_in(fs, journal_path, self)?;
-        let mut slots: Vec<Option<CellReport>> = vec![None; self.cells.len()];
-        for (idx, report) in replayed {
-            slots[idx] = Some(report);
-        }
-        let missing: Vec<usize> = (0..self.cells.len())
-            .filter(|&i| slots[i].is_none())
-            .collect();
-
-        let master = self.master_seed;
-        let journal = std::sync::Mutex::new(journal);
-        let fresh = par_map_sparse(
-            &self.cells,
-            &missing,
-            threads,
-            1,
-            |idx, cell: &SweepCell| {
-                let report = cell.run(derive_seed(master, cell.seed_index.unwrap_or(idx as u64)));
-                journal
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .append(idx, &report)
-                    .unwrap_or_else(|e| panic!("sweep `{}`: {e}", self.name));
-                report
-            },
-        );
-        for (p, report) in fresh.into_iter().enumerate() {
-            slots[missing[p]] = Some(report);
-        }
-        Ok(SweepReport {
-            sweep: self.name.clone(),
-            master_seed: master,
-            cells: slots
-                .into_iter()
-                .map(|s| s.expect("every cell replayed or run"))
-                .collect(),
-        })
-    }
-
     /// [`SweepSpec::run`] through a content-addressed result cache
     /// ([`crate::cache`]): each cacheable cell (one whose workload
     /// implements [`Workload::cache_params`]) is looked up under
     /// `(label, canonical params, derived seed, format version)` before
     /// being solved, and freshly solved cells are appended to the cache
-    /// (and flushed) as they finish. Uncacheable cells always run.
+    /// (and flushed) as they finish. Uncacheable cells always run. Run
+    /// again against the same cache, an interrupted sweep resumes: its
+    /// finished cells are hits and only the rest are solved.
     ///
     /// The report is **byte-identical** to `spec.run(1)` whatever mix
     /// of hits and misses served it: the stored payload is the
@@ -426,8 +358,8 @@ impl SweepSpec {
     /// The cache is `Mutex`-wrapped because workers share it; lock
     /// poisoning is ignored (the cache's own WAL recovery handles a
     /// worker that died mid-append). A cache I/O failure panics,
-    /// naming the sweep — like a journal append failure, losing the
-    /// store mid-run has no recovery path worth masking.
+    /// naming the sweep — losing the store mid-run has no recovery path
+    /// worth masking; the next run resumes from what was flushed.
     pub fn run_cached(
         &self,
         threads: usize,
@@ -691,6 +623,9 @@ mod tests {
             fn run(&self, seed: u64) -> Vec<Metric> {
                 vec![Metric::exact("seed_lo32", (seed & 0xFFFF_FFFF) as f64)]
             }
+            fn cache_params(&self) -> Option<String> {
+                Some(String::new())
+            }
         }
         let spec = SweepSpec::new(
             "unit-local",
@@ -721,6 +656,9 @@ mod tests {
             }
             fn run(&self, seed: u64) -> Vec<Metric> {
                 vec![Metric::exact("seed_lo32", (seed & 0xFFFF_FFFF) as f64)]
+            }
+            fn cache_params(&self) -> Option<String> {
+                Some(String::new())
             }
         }
         let spec = SweepSpec::new(
@@ -764,6 +702,9 @@ mod tests {
             }
             fn run(&self, _seed: u64) -> Vec<Metric> {
                 Vec::new()
+            }
+            fn cache_params(&self) -> Option<String> {
+                Some(String::new())
             }
         }
         SweepSpec::new(
@@ -830,6 +771,9 @@ mod tests {
             fn run(&self, _seed: u64) -> Vec<Metric> {
                 self.0.fetch_add(1, Ordering::Relaxed);
                 vec![Metric::exact("echo", 0.0)]
+            }
+            fn cache_params(&self) -> Option<String> {
+                None
             }
         }
 
@@ -913,21 +857,6 @@ mod tests {
         assert!(msg.contains("cell `c0`"), "{msg}");
         assert!(msg.contains("`EY`"), "{msg}");
         assert!(msg.contains("EX, EL0"), "{msg}");
-    }
-
-    #[test]
-    fn run_resumable_on_a_fresh_journal_matches_serial_bytes() {
-        let dir = std::env::temp_dir().join("rbbench-unit-resume");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("unit-grid.wal");
-        let _ = std::fs::remove_file(&path);
-        let spec = small_grid();
-        let resumable = spec.run_resumable(4, &path).expect("resumable run");
-        assert_eq!(resumable.to_json(), spec.run(1).to_json());
-        // Re-open: everything replays, nothing re-runs, bytes identical.
-        let replayed = spec.run_resumable(4, &path).expect("replay run");
-        assert_eq!(replayed.to_json(), resumable.to_json());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

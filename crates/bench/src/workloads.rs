@@ -13,7 +13,7 @@ use rbanalysis::sync_loss;
 use rbanalysis::tradeoff::{recommend, Scheme, TradeoffInputs};
 use rbcore::metrics::Metric;
 use rbcore::schemes::synchronized::{run_sync_timeline, simulate_commit_losses, SyncStrategy};
-use rbcore::workload::Workload;
+use rbcore::workload::{canon_async_params, canon_f64, canon_f64s, Workload};
 use rbmarkov::paper::{mean_interval_symmetric, AsyncParams};
 use rbmarkov::solver::SolverStrategy;
 
@@ -42,7 +42,7 @@ impl Workload for SyncLoss {
     fn cache_params(&self) -> Option<String> {
         Some(format!(
             "mu=[{}];rounds={}",
-            rbcore::workload::canon_f64s(&self.mu),
+            canon_f64s(&self.mu),
             self.rounds
         ))
     }
@@ -108,6 +108,17 @@ impl Workload for TradeoffCell {
         format!("tradeoff/eps{}", self.error_rate)
     }
 
+    fn cache_params(&self) -> Option<String> {
+        Some(format!(
+            "{};error_rate={};t_r={};sync_period={};deadline={}",
+            canon_async_params(&self.params),
+            canon_f64(self.error_rate),
+            canon_f64(self.t_r),
+            canon_f64(self.sync_period),
+            canon_f64(self.deadline)
+        ))
+    }
+
     fn run(&self, _seed: u64) -> Vec<Metric> {
         let inputs = TradeoffInputs {
             params: self.params.clone(),
@@ -152,6 +163,16 @@ pub struct OptimalPeriodCell {
 impl Workload for OptimalPeriodCell {
     fn label(&self) -> String {
         format!("optimal-period/eps{}", self.error_rate)
+    }
+
+    fn cache_params(&self) -> Option<String> {
+        Some(format!(
+            "mu=[{}];error_rate={};search_upper={};sim_horizon={}",
+            canon_f64s(&self.mu),
+            canon_f64(self.error_rate),
+            canon_f64(self.search_upper),
+            canon_f64(self.sim_horizon)
+        ))
     }
 
     fn run(&self, seed: u64) -> Vec<Metric> {
@@ -199,6 +220,10 @@ pub struct MatrixFreeLumpability {
 impl Workload for MatrixFreeLumpability {
     fn label(&self) -> String {
         format!("matfree-vs-lumped/n{}", self.n)
+    }
+
+    fn cache_params(&self) -> Option<String> {
+        Some(format!("n={}", self.n))
     }
 
     fn run(&self, _seed: u64) -> Vec<Metric> {
@@ -280,6 +305,140 @@ mod tests {
         assert!(
             (sim - waiting).abs() < 0.15 * waiting + 1e-4,
             "sim {sim} vs model {waiting}"
+        );
+    }
+
+    /// Asserts `base` is cacheable and that each single-field variant
+    /// renders a different `cache_params` string.
+    fn assert_each_field_is_keyed(base: &dyn Workload, variants: Vec<(&str, Box<dyn Workload>)>) {
+        let key = base
+            .cache_params()
+            .expect("production workloads are cacheable");
+        for (field, variant) in variants {
+            let flipped = variant
+                .cache_params()
+                .expect("production workloads are cacheable");
+            assert_ne!(key, flipped, "{}: `{field}` is not keyed", base.label());
+        }
+    }
+
+    #[test]
+    fn cache_params_cover_every_config_field() {
+        let sl = SyncLoss {
+            mu: vec![1.0; 3],
+            rounds: 100,
+        };
+        assert_each_field_is_keyed(
+            &sl,
+            vec![
+                (
+                    "mu",
+                    Box::new(SyncLoss {
+                        mu: vec![1.0, 1.0, 2.0],
+                        ..sl.clone()
+                    }),
+                ),
+                (
+                    "rounds",
+                    Box::new(SyncLoss {
+                        rounds: 101,
+                        ..sl.clone()
+                    }),
+                ),
+            ],
+        );
+
+        let tc = TradeoffCell {
+            params: AsyncParams::symmetric(3, 1.0, 0.5),
+            error_rate: 1e-3,
+            t_r: 0.01,
+            sync_period: 2.0,
+            deadline: 2.0,
+        };
+        assert_each_field_is_keyed(
+            &tc,
+            vec![
+                (
+                    "params",
+                    Box::new(TradeoffCell {
+                        params: AsyncParams::symmetric(3, 1.0, 0.6),
+                        ..tc.clone()
+                    }),
+                ),
+                (
+                    "error_rate",
+                    Box::new(TradeoffCell {
+                        error_rate: 2e-3,
+                        ..tc.clone()
+                    }),
+                ),
+                (
+                    "t_r",
+                    Box::new(TradeoffCell {
+                        t_r: 0.02,
+                        ..tc.clone()
+                    }),
+                ),
+                (
+                    "sync_period",
+                    Box::new(TradeoffCell {
+                        sync_period: 3.0,
+                        ..tc.clone()
+                    }),
+                ),
+                (
+                    "deadline",
+                    Box::new(TradeoffCell {
+                        deadline: 3.0,
+                        ..tc.clone()
+                    }),
+                ),
+            ],
+        );
+
+        let op = OptimalPeriodCell {
+            mu: vec![1.0; 3],
+            error_rate: 0.01,
+            search_upper: 100.0,
+            sim_horizon: 1_000.0,
+        };
+        assert_each_field_is_keyed(
+            &op,
+            vec![
+                (
+                    "mu",
+                    Box::new(OptimalPeriodCell {
+                        mu: vec![1.0; 4],
+                        ..op.clone()
+                    }),
+                ),
+                (
+                    "error_rate",
+                    Box::new(OptimalPeriodCell {
+                        error_rate: 0.02,
+                        ..op.clone()
+                    }),
+                ),
+                (
+                    "search_upper",
+                    Box::new(OptimalPeriodCell {
+                        search_upper: 200.0,
+                        ..op.clone()
+                    }),
+                ),
+                (
+                    "sim_horizon",
+                    Box::new(OptimalPeriodCell {
+                        sim_horizon: 2_000.0,
+                        ..op.clone()
+                    }),
+                ),
+            ],
+        );
+
+        assert_each_field_is_keyed(
+            &MatrixFreeLumpability { n: 8 },
+            vec![("n", Box::new(MatrixFreeLumpability { n: 9 }))],
         );
     }
 

@@ -1,25 +1,24 @@
-//! The chaos-matrix gate: ≥ 100 seeded fault schedules against the
-//! sweep journal and the result cache, each ending in one of exactly
-//! two outcomes — a `SweepReport` byte-identical to the fault-free
-//! serial run, or a documented refusal (after which deleting the
-//! artifact and re-running reproduces the reference bytes). Zero
-//! divergent-bytes outcomes, ever.
+//! The chaos-matrix gate: seeded fault schedules against the result
+//! cache, each ending in one of exactly two outcomes — a `SweepReport`
+//! byte-identical to the fault-free serial run, or a documented
+//! refusal (after which deleting the cache and re-running reproduces
+//! the reference bytes). Zero divergent-bytes outcomes, ever.
 //!
-//! Four arms:
+//! Three seeded arms plus one hand-built case:
 //!
-//! * **journal-live** — `run_resumable_in` over a
+//! * **cache-live** — `run_cached` over a cache opened on a
 //!   [`FaultyFs`] (short writes, silent bit flips, transient errors,
-//!   disk-full, injected *while the journal is being written*); the
-//!   mid-run append panic is the simulated crash, and recovery resumes
+//!   disk-full, injected *while the cache is being written*); the
+//!   mid-run insert panic is the simulated crash, and recovery reopens
 //!   on the real filesystem;
-//! * **journal-mangle** — a clean journal damaged afterwards by a
-//!   seeded [`derive_mangle`] schedule (truncation, bit rot, appended
-//!   garbage), then resumed;
-//! * **cache-live** / **cache-mangle** — the same two shapes against
-//!   the content-addressed result cache under `run_cached`;
+//! * **cache-mangle** — a clean cache damaged afterwards by a seeded
+//!   [`derive_mangle`] schedule (truncation, bit rot, appended
+//!   garbage), then reopened;
 //! * **cache-compact** — `compact_in` over a [`FaultyFs`]: a faulted
 //!   compaction must leave the old file serving reference bytes, a
-//!   completed one must publish a file that replays identically.
+//!   completed one must publish a file that replays identically;
+//! * **splice** — an intact frame from a foreign cache whose key
+//!   collides with a different payload: refused, naming the frame.
 //!
 //! Every fault is pure in `(master seed, schedule index)` — a failing
 //! schedule replays exactly under its printed index.
@@ -28,12 +27,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use rbbench::cache::ResultCache;
-use rbbench::journal::JournalError;
+use rbbench::cache::{CacheError, ResultCache, CACHE_FILE};
 use rbbench::sweep::{Metric, SweepCell, SweepSpec, Workload};
 use rbruntime::faultio::{
-    apply_mangle, derive_fault_seed, derive_mangle, FaultKind, FaultPlan, FaultyFs,
+    apply_mangle, derive_fault_seed, derive_mangle, FaultKind, FaultPlan, FaultyFs, Mangle,
 };
+use rbruntime::wal::FrameScan;
 
 /// A fresh scratch directory per schedule.
 fn scratch(test: &str) -> PathBuf {
@@ -95,132 +94,6 @@ fn plan_for(master: u64, index: u64) -> FaultPlan {
     // it without duplicating frames (the double-append regression).
     plan.with_rate([120, 250, 500, 1000][(index % 4) as usize])
         .with_flush_transients(index % 3)
-}
-
-/// A refusal must be the documented one: a named `Refused` that tells
-/// the operator which file, which frame, and to delete it.
-fn assert_documented_journal_refusal(e: &JournalError, schedule: &str) {
-    let msg = e.to_string();
-    assert!(
-        matches!(e, JournalError::Refused { .. }),
-        "{schedule}: refusal must be JournalError::Refused, got: {msg}"
-    );
-    assert!(
-        msg.contains("delete the journal"),
-        "{schedule}: refusal must name the remedy: {msg}"
-    );
-    assert!(
-        msg.contains("frame"),
-        "{schedule}: refusal must name the frame: {msg}"
-    );
-}
-
-#[test]
-fn journal_live_fault_schedules_recover_or_refuse() {
-    const SCHEDULES: u64 = 40;
-    let spec = echo_spec("chaos-journal", 6);
-    let reference = spec.run(1).to_json();
-    let mut injected_total = 0u64;
-    let mut crashed = 0u64;
-    let mut refused = 0u64;
-
-    for index in 0..SCHEDULES {
-        let schedule = format!("journal-live #{index}");
-        let dir = scratch(&format!("jlive-{index}"));
-        let path = dir.join("chaos-journal.wal");
-        let fs = FaultyFs::new(plan_for(0x0BAD_D15C, index));
-
-        // The live run under fire: it may complete (report must match
-        // the reference), return a named error (open-time fault), or
-        // panic mid-append (the simulated crash).
-        match catch_unwind(AssertUnwindSafe(|| spec.run_resumable_in(&fs, 2, &path))) {
-            Ok(Ok(report)) => assert_eq!(
-                report.to_json(),
-                reference,
-                "{schedule}: live run served divergent bytes"
-            ),
-            Ok(Err(e)) => {
-                assert!(!e.to_string().is_empty());
-                crashed += 1;
-            }
-            Err(_) => crashed += 1,
-        }
-        injected_total += fs.faults_injected();
-
-        // The recovery gate: resume on the real filesystem. Whatever
-        // the fault left on disk, the outcome is byte-identical replay
-        // or the documented refusal — and after taking the refusal's
-        // advice, a fresh run reproduces the reference exactly.
-        match spec.run_resumable(2, &path) {
-            Ok(report) => assert_eq!(
-                report.to_json(),
-                reference,
-                "{schedule}: resumed run diverged from the fault-free reference"
-            ),
-            Err(e) => {
-                assert_documented_journal_refusal(&e, &schedule);
-                refused += 1;
-                std::fs::remove_file(&path).expect("take the refusal's advice");
-                let rerun = spec
-                    .run_resumable(2, &path)
-                    .unwrap_or_else(|e| panic!("{schedule}: fresh rerun failed: {e}"));
-                assert_eq!(
-                    rerun.to_json(),
-                    reference,
-                    "{schedule}: fresh rerun diverged"
-                );
-            }
-        }
-    }
-
-    assert!(
-        injected_total > 0,
-        "the schedules must actually inject faults (got none across {SCHEDULES})"
-    );
-    println!(
-        "journal-live: {SCHEDULES} schedules, {injected_total} faults injected, \
-         {crashed} crashed runs, {refused} refusals — zero divergent"
-    );
-}
-
-#[test]
-fn journal_mangle_schedules_recover_or_refuse() {
-    const SCHEDULES: u64 = 30;
-    let spec = echo_spec("chaos-journal-m", 6);
-    let reference = spec.run(1).to_json();
-    let mut refused = 0u64;
-
-    for index in 0..SCHEDULES {
-        let schedule = format!("journal-mangle #{index}");
-        let dir = scratch(&format!("jmangle-{index}"));
-        let path = dir.join("chaos-journal-m.wal");
-        let clean = spec.run_resumable(1, &path).expect("clean run");
-        assert_eq!(clean.to_json(), reference);
-
-        let len = std::fs::metadata(&path).expect("metadata").len();
-        let mangle = derive_mangle(derive_fault_seed(0x05EE_D0FF, index), len);
-        apply_mangle(&path, &mangle).expect("apply mangle");
-
-        match spec.run_resumable(2, &path) {
-            Ok(report) => assert_eq!(
-                report.to_json(),
-                reference,
-                "{schedule} ({mangle}): resumed run diverged"
-            ),
-            Err(e) => {
-                assert_documented_journal_refusal(&e, &schedule);
-                refused += 1;
-                std::fs::remove_file(&path).expect("take the refusal's advice");
-                let rerun = spec.run_resumable(2, &path).expect("fresh rerun");
-                assert_eq!(
-                    rerun.to_json(),
-                    reference,
-                    "{schedule}: fresh rerun diverged"
-                );
-            }
-        }
-    }
-    println!("journal-mangle: {SCHEDULES} schedules, {refused} refusals — zero divergent");
 }
 
 /// The cache-side recovery gate shared by both cache arms: reopen on
@@ -369,36 +242,67 @@ fn cache_compaction_fault_schedules_keep_the_old_file_or_publish_clean() {
 }
 
 /// The splice case a seeded mangle can't produce by chance: intact
-/// frames, valid header, but a *duplicated record index* — the exact
-/// "intact but contradictory" shape the journal must refuse rather
-/// than guess about.
+/// frames, a valid header, but two entries under one key with
+/// different payloads — the "intact but contradictory" shape (a purity
+/// violation, or frames from a foreign file) the cache must refuse
+/// rather than guess which payload is right.
 #[test]
-fn spliced_duplicate_record_is_refused_with_frame_index() {
+fn spliced_conflicting_entry_is_refused_with_frame_index() {
     let spec = echo_spec("chaos-splice", 4);
     let reference = spec.run(1).to_json();
     let dir = scratch("splice");
-    let path = dir.join("chaos-splice.wal");
-    spec.run_resumable(1, &path).expect("clean run");
+    spec.run_cached(1, &Mutex::new(ResultCache::open(&dir).expect("open")));
 
-    let stats = rbbench::journal::inspect(&path).expect("inspect");
-    let bytes = std::fs::read(&path).expect("read journal");
-    let record0 = bytes[stats.record_offsets[0]..stats.record_offsets[1]].to_vec();
-    apply_mangle(
-        &path,
-        &rbruntime::faultio::Mangle::Append { bytes: record0 },
-    )
-    .expect("splice duplicate");
+    // A foreign cache holding the same key — same label, params and
+    // derived seed as cell c0 — under a different payload (an impure
+    // twin of the workload that varies output the key does not cover).
+    struct Impure;
+    impl Workload for Impure {
+        fn label(&self) -> String {
+            Echo { tag: 0 }.label()
+        }
+        fn run(&self, _seed: u64) -> Vec<Metric> {
+            vec![Metric::exact("seed_lo32", -1.0)]
+        }
+        fn cache_params(&self) -> Option<String> {
+            Echo { tag: 0 }.cache_params()
+        }
+    }
+    let foreign = scratch("splice-foreign");
+    SweepSpec::new("chaos-splice", 0xC4A0, vec![SweepCell::named("c0", Impure)])
+        .run_cached(1, &Mutex::new(ResultCache::open(&foreign).expect("open")));
+    let foreign_bytes = std::fs::read(foreign.join(CACHE_FILE)).expect("read foreign");
+    let mut scan = FrameScan::new(&foreign_bytes);
+    scan.next().expect("foreign header");
+    let entry = foreign_bytes[scan.offset()..].to_vec();
+    assert!(scan.next().is_some() && scan.next().is_none(), "one entry");
 
-    let e = spec
-        .run_resumable(1, &path)
-        .expect_err("duplicate record must refuse");
-    assert_documented_journal_refusal(&e, "splice");
-    assert!(e.to_string().contains("duplicate record"), "{e}");
-    // The refusal names the offending frame: header is 0, records 1..,
-    // and the splice landed after 4 records → frame 5.
-    assert!(e.to_string().contains("frame 5"), "{e}");
+    let path = dir.join(CACHE_FILE);
+    apply_mangle(&path, &Mangle::Append { bytes: entry }).expect("splice");
+    let spliced = std::fs::read(&path).expect("read spliced");
 
-    std::fs::remove_file(&path).expect("take the refusal's advice");
-    let rerun = spec.run_resumable(1, &path).expect("fresh rerun");
-    assert_eq!(rerun.to_json(), reference);
+    let e = ResultCache::open(&dir).expect_err("conflicting entry must refuse");
+    assert!(
+        matches!(e, CacheError::Refused { frame: Some(5), .. }),
+        "header is frame 0 and the splice landed after 4 entries: {e}"
+    );
+    let msg = e.to_string();
+    assert!(
+        msg.contains("frame 5"),
+        "refusal must name the frame: {msg}"
+    );
+    assert!(msg.contains("different payloads"), "{msg}");
+    assert!(
+        msg.contains("delete the cache"),
+        "refusal must name the remedy: {msg}"
+    );
+    assert_eq!(
+        std::fs::read(&path).expect("reread"),
+        spliced,
+        "a refused open must leave the file byte-for-byte untouched"
+    );
+
+    std::fs::remove_dir_all(&dir).expect("take the refusal's advice");
+    let rerun = spec.run_cached(1, &Mutex::new(ResultCache::open(&dir).expect("fresh")));
+    assert_eq!(rerun.report.to_json(), reference);
 }

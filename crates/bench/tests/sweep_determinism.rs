@@ -87,6 +87,9 @@ fn batched_runs_are_byte_identical_to_serial() {
                 (seed ^ self.k).wrapping_mul(0x9E37_79B9) as f64,
             )]
         }
+        fn cache_params(&self) -> Option<String> {
+            Some(format!("k={}", self.k))
+        }
     }
     let spec = SweepSpec::new(
         "batched_determinism",

@@ -1,42 +1,43 @@
-//! The resumable-sweep contract, end to end.
+//! The resume contract, end to end: an interrupted sweep resumes as a
+//! warm re-run against the content-addressed result cache.
 //!
-//! Three layers of guarantee, mirroring `rbbench::journal`'s recovery
+//! Four layers of guarantee, mirroring `rbbench::cache`'s recovery
 //! rules:
 //!
-//! 1. **Replay equivalence** — a sweep resumed from a journal (fresh,
-//!    complete, torn, or partially corrupt) reassembles a
+//! 1. **Replay equivalence** — a sweep re-run against its cache (cold,
+//!    complete, truncated, torn, or partially corrupt) reassembles a
 //!    `SweepReport` whose JSON is byte-identical to an uninterrupted
-//!    serial run, and resume *skips* completed cells (verified by a
-//!    run-count probe workload, not just by timing).
-//! 2. **Corruption handling** — a truncated tail record and a flipped
-//!    checksum bit cleanly re-run the affected cells; a header/spec
-//!    mismatch (wrong master seed, name, cell count or cell-id list)
-//!    and a corrupt header are refused with a clear error. No case
-//!    produces a divergent report. All damage goes through
+//!    serial run, and the re-run *skips* stored cells (verified by a
+//!    run-count probe workload and the hit/miss counts, not by timing).
+//! 2. **Corruption and spec changes** — a truncated tail entry and a
+//!    flipped checksum bit cleanly re-run the affected cells; a changed
+//!    sweep name, master seed, cell count, cell id or seed index costs
+//!    exactly the cache misses its changed cells imply, with bytes
+//!    equal to that spec's own serial run; a corrupt header is refused
+//!    with a clear error. All damage goes through
 //!    [`rbruntime::faultio::apply_mangle`] — the same corruption
-//!    vocabulary the seeded chaos matrix (`chaos_matrix.rs`) sweeps —
-//!    so these named cases and the schedule-driven sweep can't drift
-//!    apart.
+//!    vocabulary the seeded chaos matrix (`chaos_matrix.rs`) sweeps.
 //! 3. **Kill realism** — a release-only test SIGKILLs the
 //!    `sweep_resume_probe` binary mid-sweep (a real child process, not
-//!    a simulated panic), resumes it, and byte-diffs the artifact
-//!    against an uninterrupted run — the CI `sweep-resume` job's gate.
+//!    a simulated panic), re-runs it against the same `--cache`, and
+//!    byte-diffs the artifact against an uninterrupted run — the CI
+//!    `sweep-resume` job's gate.
 //! 4. **Refinement resume** — an adaptive refinement killed mid-round
-//!    (torn journal for the interrupted round, later rounds' journals
-//!    never written) resumes byte-for-byte: finished rounds replay
-//!    wholesale, the torn round re-runs only its missing cells, and
+//!    (the interrupted round's entries partly written, later rounds'
+//!    never) resumes byte-for-byte: finished cells hit, and
 //!    re-discovered midpoints land on their path-determined seed
-//!    indices.
+//!    indices, so only the missing cells re-run.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use rbbench::journal::{inspect, JournalError};
-use rbbench::sweep::{AsyncGrid, Metric, SweepCell, SweepSpec, Workload};
+use rbbench::cache::{wal_stats, CacheError, ResultCache, CACHE_FILE};
+use rbbench::sweep::{AsyncGrid, CachedSweep, Metric, SweepCell, SweepSpec, Workload};
 use rbbench::workloads::{AsyncIntervals, DistSpec};
 use rbmarkov::paper::AsyncParams;
 use rbruntime::faultio::{apply_mangle, Mangle};
+use rbruntime::wal::FrameScan;
 
 /// A fresh scratch directory per test (removed up front, so reruns are
 /// clean even after a crash).
@@ -47,9 +48,40 @@ fn scratch(test: &str) -> PathBuf {
     dir
 }
 
+/// Runs `spec` through the cache at `dir` (opened fresh, as a new
+/// process would).
+fn run_cached(spec: &SweepSpec, threads: usize, dir: &Path) -> CachedSweep {
+    let cache = ResultCache::open(dir).expect("open cache");
+    spec.run_cached(threads, &Mutex::new(cache))
+}
+
+/// Byte offset where each entry frame of the cache WAL at `dir`
+/// starts, plus the end of the intact prefix.
+fn entry_offsets(dir: &Path) -> (Vec<usize>, usize) {
+    let bytes = std::fs::read(dir.join(CACHE_FILE)).expect("read cache");
+    let mut scan = FrameScan::new(&bytes);
+    scan.next().expect("cache header");
+    let mut offsets = Vec::new();
+    loop {
+        let at = scan.offset();
+        if scan.next().is_none() {
+            return (offsets, at);
+        }
+        offsets.push(at);
+    }
+}
+
+/// Truncates the cache WAL at `dir` to its header plus the first `k`
+/// entries — the disk state a kill after the `k`-th append leaves.
+fn keep_entries(dir: &Path, k: usize) {
+    let (offsets, end) = entry_offsets(dir);
+    let len = offsets.get(k).copied().unwrap_or(end);
+    apply_mangle(&dir.join(CACHE_FILE), &Mangle::Truncate { len: len as u64 }).unwrap();
+}
+
 /// Deterministic echo workload that counts how many times it actually
-/// ran — the probe that distinguishes "replayed from the journal" from
-/// "recomputed".
+/// ran — the probe that distinguishes "served from the cache" from
+/// "recomputed". Cells differ only by their derived seed.
 #[derive(Clone)]
 struct CountingEcho {
     runs: Arc<AtomicUsize>,
@@ -65,6 +97,9 @@ impl Workload for CountingEcho {
             Metric::exact("seed_lo32", (seed & 0xFFFF_FFFF) as f64),
             Metric::exact("seed_hi32", (seed >> 32) as f64),
         ]
+    }
+    fn cache_params(&self) -> Option<String> {
+        Some(String::new())
     }
 }
 
@@ -87,7 +122,7 @@ fn counting_spec(name: &str, cells: usize, runs: &Arc<AtomicUsize>) -> SweepSpec
 
 /// A small but *real* sweep — simulation cells with a distribution
 /// metric — so replay fidelity is proven on the payloads the figure
-/// bins actually journal.
+/// bins actually store.
 fn sim_spec() -> SweepSpec {
     let grid = AsyncGrid {
         n: vec![2, 3],
@@ -105,225 +140,185 @@ fn sim_spec() -> SweepSpec {
 }
 
 #[test]
-fn fresh_then_replayed_journal_matches_serial_bytes() {
+fn fresh_then_warm_cache_matches_serial_bytes() {
     let dir = scratch("fresh");
-    let path = dir.join("resume-sim.wal");
     let spec = sim_spec();
     let reference = spec.run(1).to_json();
 
-    // Fresh journal, parallel run: identical bytes.
-    let first = spec.run_resumable(4, &path).expect("fresh run");
-    assert_eq!(first.to_json(), reference);
+    // Cold cache, parallel run: identical bytes.
+    let first = run_cached(&spec, 4, &dir);
+    assert_eq!((first.hits, first.misses), (0, spec.cells.len()));
+    assert_eq!(first.report.to_json(), reference);
 
-    // Complete journal: pure replay, still identical (including the
+    // Complete cache: pure replay, still identical (including the
     // distribution payload's bit-exact f64s).
-    let replayed = spec.run_resumable(4, &path).expect("replay run");
-    assert_eq!(replayed.to_json(), reference);
+    let warm = run_cached(&spec, 4, &dir);
+    assert_eq!((warm.hits, warm.misses), (spec.cells.len(), 0));
+    assert_eq!(warm.report.to_json(), reference);
 }
 
 #[test]
 fn resume_skips_completed_cells() {
     let dir = scratch("skip");
-    let path = dir.join("count.wal");
     let cells = 8;
 
     let runs = Arc::new(AtomicUsize::new(0));
-    let spec = counting_spec("count", cells, &runs);
-    let full = spec.run_resumable(1, &path).expect("initial run");
+    let full = run_cached(&counting_spec("count", cells, &runs), 1, &dir);
     assert_eq!(runs.load(Ordering::Relaxed), cells, "all cells ran once");
+    assert_eq!(wal_stats(&dir).unwrap().entries, cells);
 
-    // Keep only the first 3 records — as if the run died after cell 2.
-    let stats = inspect(&path).expect("inspect");
-    assert_eq!(stats.records(), cells);
+    // Keep only the first 3 entries — as if the run died after cell 2.
     let keep = 3;
-    apply_mangle(
-        &path,
-        &Mangle::Truncate {
-            len: stats.keep_records(keep) as u64,
-        },
-    )
-    .unwrap();
+    keep_entries(&dir, keep);
 
     let runs2 = Arc::new(AtomicUsize::new(0));
-    let spec2 = counting_spec("count", cells, &runs2);
-    let resumed = spec2.run_resumable(2, &path).expect("resumed run");
+    let resumed = run_cached(&counting_spec("count", cells, &runs2), 2, &dir);
     assert_eq!(
         runs2.load(Ordering::Relaxed),
         cells - keep,
         "resume must re-run exactly the missing cells"
     );
-    assert_eq!(resumed.to_json(), full.to_json());
-    assert_eq!(inspect(&path).unwrap().records(), cells, "journal refilled");
+    assert_eq!((resumed.hits, resumed.misses), (keep, cells - keep));
+    assert_eq!(resumed.report.to_json(), full.report.to_json());
+    assert_eq!(wal_stats(&dir).unwrap().entries, cells, "cache refilled");
 }
 
 #[test]
-fn truncated_tail_record_is_discarded_and_rerun() {
+fn truncated_tail_entry_is_discarded_and_rerun() {
     let dir = scratch("torn");
-    let path = dir.join("count.wal");
     let cells = 6;
 
     let runs = Arc::new(AtomicUsize::new(0));
-    let spec = counting_spec("count", cells, &runs);
-    let full = spec.run_resumable(1, &path).expect("initial run");
+    let full = run_cached(&counting_spec("count", cells, &runs), 1, &dir);
 
-    // Tear the last record mid-frame (as SIGKILL mid-write would).
-    let stats = inspect(&path).expect("inspect");
-    let torn_len = stats.record_offsets[cells - 1] + 5;
+    // Tear the last entry mid-frame (as SIGKILL mid-write would).
+    let (offsets, end) = entry_offsets(&dir);
+    let torn_len = offsets[cells - 1] + 5;
     apply_mangle(
-        &path,
+        &dir.join(CACHE_FILE),
         &Mangle::Truncate {
             len: torn_len as u64,
         },
     )
     .unwrap();
-    let stats = inspect(&path).expect("inspect torn");
-    assert_eq!(stats.records(), cells - 1);
-    assert!(stats.valid_len < stats.total_len, "torn bytes present");
+    assert_eq!(wal_stats(&dir).unwrap().entries, cells - 1);
+    assert!(torn_len < end, "torn bytes present");
 
     let runs2 = Arc::new(AtomicUsize::new(0));
-    let spec2 = counting_spec("count", cells, &runs2);
-    let resumed = spec2.run_resumable(1, &path).expect("resumed run");
+    let resumed = run_cached(&counting_spec("count", cells, &runs2), 1, &dir);
     assert_eq!(
         runs2.load(Ordering::Relaxed),
         1,
         "only the torn cell re-ran"
     );
-    assert_eq!(resumed.to_json(), full.to_json());
-    assert!(
-        inspect(&path).unwrap().valid_len > torn_len,
-        "torn tail truncated, fresh record appended"
+    assert_eq!(resumed.misses, 1);
+    assert_eq!(resumed.report.to_json(), full.report.to_json());
+    let (offsets, _) = entry_offsets(&dir);
+    assert_eq!(
+        offsets.len(),
+        cells,
+        "torn tail truncated, fresh entry appended"
     );
 }
 
 #[test]
 fn flipped_checksum_byte_reruns_the_affected_cells() {
     let dir = scratch("flip");
-    let path = dir.join("count.wal");
     let cells = 6;
 
     let runs = Arc::new(AtomicUsize::new(0));
-    let spec = counting_spec("count", cells, &runs);
-    let full = spec.run_resumable(1, &path).expect("initial run");
+    let full = run_cached(&counting_spec("count", cells, &runs), 1, &dir);
 
-    // Flip one checksum byte of record 2: records 2.. are dropped (the
+    // Flip one checksum byte of entry 2: entries 2.. are dropped (the
     // scan cannot trust anything past an unverifiable frame), their
     // cells re-run, and the report still matches.
-    let stats = inspect(&path).expect("inspect");
-    let flip_at = stats.record_offsets[2] + 5;
+    let (offsets, _) = entry_offsets(&dir);
     apply_mangle(
-        &path,
+        &dir.join(CACHE_FILE),
         &Mangle::FlipBit {
-            offset: flip_at as u64,
+            offset: offsets[2] as u64 + 5,
             bit: 0,
         },
     )
     .unwrap();
 
     let runs2 = Arc::new(AtomicUsize::new(0));
-    let spec2 = counting_spec("count", cells, &runs2);
-    let resumed = spec2.run_resumable(3, &path).expect("resumed run");
+    let resumed = run_cached(&counting_spec("count", cells, &runs2), 3, &dir);
     assert_eq!(
         runs2.load(Ordering::Relaxed),
         cells - 2,
-        "cells 2.. re-ran; cells 0 and 1 replayed"
+        "cells 2.. re-ran; cells 0 and 1 were hits"
     );
-    assert_eq!(resumed.to_json(), full.to_json());
+    assert_eq!((resumed.hits, resumed.misses), (2, cells - 2));
+    assert_eq!(resumed.report.to_json(), full.report.to_json());
 }
 
 #[test]
-fn header_spec_mismatches_are_refused_with_clear_errors() {
-    let dir = scratch("mismatch");
-    let path = dir.join("count.wal");
+fn changed_specs_cost_only_the_misses_their_changes_imply() {
     let cells = 4;
-
     let runs = Arc::new(AtomicUsize::new(0));
-    counting_spec("count", cells, &runs)
-        .run_resumable(1, &path)
-        .expect("initial run");
 
-    let expect_mismatch = |spec: SweepSpec, field: &str| {
-        match spec.run_resumable(1, &path) {
-            Err(e @ JournalError::SpecMismatch { .. }) => {
-                let msg = e.to_string();
-                assert!(msg.contains(field), "error for {field}: {msg}");
-                assert!(msg.contains("refusing to replay"), "{msg}");
-            }
-            other => panic!(
-                "expected SpecMismatch on {field}, got {other:?}",
-                other = other.map(|r| r.to_json().len())
-            ),
-        }
-        // The journal itself must be left untouched by a refused open.
-        assert_eq!(inspect(&path).unwrap().records(), cells);
+    // Each case starts from a cache filled by the original spec, then
+    // runs the changed spec: the hit/miss split follows from which
+    // `(label, params, derived seed)` keys changed, and the bytes are
+    // the changed spec's own serial run.
+    let expect = |case: &str, spec: SweepSpec, hits: usize, misses: usize| {
+        let dir = scratch(&format!("changed-{case}"));
+        run_cached(&counting_spec("count", cells, &runs), 1, &dir);
+        let out = run_cached(&spec, 2, &dir);
+        assert_eq!((out.hits, out.misses), (hits, misses), "{case}");
+        assert_eq!(out.report.to_json(), spec.run(1).to_json(), "{case}");
     };
 
-    // Wrong master seed.
-    let mut wrong_seed = counting_spec("count", cells, &runs);
-    wrong_seed.master_seed = 4243;
-    expect_mismatch(wrong_seed, "master seed");
+    // Keys bind content, not the sweep's name: every cell hits, and
+    // hits carry the new report's name.
+    expect("name", counting_spec("other", cells, &runs), cells, 0);
 
-    // Wrong sweep name.
-    expect_mismatch(counting_spec("other", cells, &runs), "sweep name");
+    // A new master seed changes every derived seed: every cell misses.
+    let mut reseeded = counting_spec("count", cells, &runs);
+    reseeded.master_seed = 4243;
+    expect("master-seed", reseeded, 0, cells);
 
-    // Wrong cell count.
-    expect_mismatch(counting_spec("count", cells + 1, &runs), "cell count");
+    // One more cell: the old ones hit, the new one is solved.
+    expect(
+        "cell-count",
+        counting_spec("count", cells + 1, &runs),
+        cells,
+        1,
+    );
 
-    // Same count, different cell ids.
-    let mut wrong_ids = counting_spec("count", cells, &runs);
-    wrong_ids.cells[1].id = "renamed".into();
-    expect_mismatch(wrong_ids, "cell-id list hash");
+    // A renamed cell computes the same thing: it hits, re-labelled.
+    let mut renamed = counting_spec("count", cells, &runs);
+    renamed.cells[1].id = "renamed".into();
+    expect("cell-id", renamed, cells, 0);
+
+    // One cell moved to another seed-derivation index: only it misses.
+    let mut shifted = counting_spec("count", cells, &runs);
+    shifted.cells[1].seed_index = Some(1 << 40);
+    expect("seed-index", shifted, cells - 1, 1);
 }
 
 #[test]
 fn corrupt_header_is_refused() {
     let dir = scratch("header");
-    let path = dir.join("count.wal");
     let runs = Arc::new(AtomicUsize::new(0));
-    counting_spec("count", 3, &runs)
-        .run_resumable(1, &path)
-        .expect("initial run");
+    run_cached(&counting_spec("count", 3, &runs), 1, &dir);
 
     // Flip a bit inside the header frame: the file can no longer be
-    // tied to any spec, so resuming must refuse, not guess.
+    // tied to this cache format, so opening must refuse, not guess.
+    let path = dir.join(CACHE_FILE);
     apply_mangle(&path, &Mangle::FlipBit { offset: 13, bit: 7 }).unwrap();
+    let before = std::fs::read(&path).unwrap();
 
-    match counting_spec("count", 3, &runs).run_resumable(1, &path) {
-        Err(e @ JournalError::Refused { .. }) => {
+    match ResultCache::open(&dir) {
+        Err(e @ CacheError::Refused { .. }) => {
             let msg = e.to_string();
             assert!(msg.contains("header"), "{msg}");
-            assert!(msg.contains("delete the journal"), "{msg}");
+            assert!(msg.contains("delete the cache"), "{msg}");
         }
-        other => panic!("expected Refused, got {:?}", other.map(|r| r.cells.len())),
+        other => panic!("expected Refused, got {other:?}"),
     }
-}
-
-#[test]
-fn records_from_a_foreign_grid_are_refused() {
-    // Hand-craft the nastiest case the header cannot catch: a journal
-    // whose header matches but whose records were (somehow) written
-    // for other cells. Splice a record from journal A after journal
-    // B's header, with matching ids hash via identical specs but a
-    // duplicated record index.
-    let dir = scratch("foreign");
-    let path = dir.join("count.wal");
-    let runs = Arc::new(AtomicUsize::new(0));
-    counting_spec("count", 3, &runs)
-        .run_resumable(1, &path)
-        .expect("initial run");
-
-    // Duplicate record 0 at the end of the file: intact frames, valid
-    // header — but an index that appears twice cannot be trusted.
-    let stats = inspect(&path).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    let record0 = bytes[stats.record_offsets[0]..stats.record_offsets[1]].to_vec();
-    apply_mangle(&path, &Mangle::Append { bytes: record0 }).unwrap();
-
-    match counting_spec("count", 3, &runs).run_resumable(1, &path) {
-        Err(e @ JournalError::Refused { .. }) => {
-            assert!(e.to_string().contains("duplicate record"), "{e}");
-        }
-        other => panic!("expected Refused, got {:?}", other.map(|r| r.cells.len())),
-    }
+    assert_eq!(std::fs::read(&path).unwrap(), before, "file left untouched");
 }
 
 #[test]
@@ -332,8 +327,8 @@ fn kill_mid_refinement_resumes_byte_identically() {
 
     // Two discontinuities, one per initial interval: every refinement
     // round bisects exactly the two gaps bracketing them, so each round
-    // past the coarse sweep has two cells — enough to tear one round
-    // mid-write and leave the other cell finished.
+    // past the coarse sweep has two cells — enough to stop one round
+    // after its first entry.
     fn profile(x: f64) -> f64 {
         f64::from(u8::from(x >= 0.3) + u8::from(x >= 1.7))
     }
@@ -353,6 +348,9 @@ fn kill_mid_refinement_resumes_byte_identically() {
                 Metric::exact("f", profile(self.x)),
                 Metric::exact("seed_lo32", (seed & 0xFFFF_FFFF) as f64),
             ]
+        }
+        fn cache_params(&self) -> Option<String> {
+            Some(rbcore::workload::canon_f64(self.x))
         }
     }
 
@@ -374,15 +372,18 @@ fn kill_mid_refinement_resumes_byte_identically() {
         )
         .with_max_depth(4)
     };
+    let drive_cached = |runs: &Arc<AtomicUsize>, threads: usize, dir: &Path| {
+        mk(runs).drive(|round| run_cached(round, threads, dir).report)
+    };
 
-    // Uninterrupted, unjournalled reference.
+    // Uninterrupted, uncached reference.
     let reference = mk(&Arc::new(AtomicUsize::new(0))).run(1).to_json();
 
-    // Full journaled run: rounds r0 (3 cells) then r1..r4 (2 cells
-    // each, one per discontinuity) until the depth cap converges.
+    // Full cached run: rounds r0 (3 cells) then r1..r4 (2 cells each,
+    // one per discontinuity) until the depth cap converges.
     let dir = scratch("adaptive-kill");
     let runs = Arc::new(AtomicUsize::new(0));
-    let full = mk(&runs).run_resumable(2, &dir).expect("journaled run");
+    let full = drive_cached(&runs, 2, &dir);
     assert_eq!(full.to_json(), reference);
     assert!(full.converged);
     assert_eq!(full.rounds.len(), 5);
@@ -391,25 +392,14 @@ fn kill_mid_refinement_resumes_byte_identically() {
     // Reproduce the disk state a SIGKILL during round 2 leaves behind
     // (the process-level realism of exactly this state is proven by
     // `kill_mid_sweep_then_resume_is_byte_identical` below): r0 and r1
-    // complete, r2 torn after its first record, r3 and r4 never begun.
-    let r2 = dir.join("adaptive-kill#r2.wal");
-    let stats = inspect(&r2).expect("inspect r2");
-    assert_eq!(stats.records(), 2);
-    apply_mangle(
-        &r2,
-        &Mangle::Truncate {
-            len: stats.keep_records(1) as u64,
-        },
-    )
-    .unwrap();
-    for later in ["adaptive-kill#r3.wal", "adaptive-kill#r4.wal"] {
-        std::fs::remove_file(dir.join(later)).expect("remove later round");
-    }
+    // complete (5 entries), r2 stopped after its first entry, r3 and
+    // r4 never begun.
+    keep_entries(&dir, 6);
 
-    // Resume at a different thread count: finished work replays, the
-    // rest re-runs, and the report reproduces the reference bytes.
+    // Resume at a different thread count: finished cells hit, the
+    // rest re-run, and the report reproduces the reference bytes.
     let runs2 = Arc::new(AtomicUsize::new(0));
-    let resumed = mk(&runs2).run_resumable(4, &dir).expect("resumed run");
+    let resumed = drive_cached(&runs2, 4, &dir);
     assert_eq!(
         resumed.to_json(),
         reference,
@@ -420,13 +410,31 @@ fn kill_mid_refinement_resumes_byte_identically() {
         5,
         "resume must re-run exactly r2's missing cell plus r3 and r4"
     );
-    assert_eq!(inspect(&r2).unwrap().records(), 2, "torn round refilled");
+    assert_eq!(wal_stats(&dir).unwrap().entries, 11, "cache refilled");
 }
 
-/// The CI gate: SIGKILL a real sweep process partway, resume it, and
-/// byte-diff the artifact against an uninterrupted run. Release-only —
-/// debug builds simulate enough cells/second to make the kill window
-/// unreliable, and CI's `sweep-resume` job runs the release suite.
+/// The `[cache] <sweep>: H hits, M misses, U uncacheable` counts a
+/// figure binary printed on stderr.
+fn cache_line_counts(stderr: &[u8], sweep: &str) -> (usize, usize, usize) {
+    let text = String::from_utf8_lossy(stderr);
+    let prefix = format!("[cache] {sweep}: ");
+    let line = text
+        .lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .unwrap_or_else(|| panic!("no `{prefix}` line in stderr:\n{text}"));
+    let counts: Vec<usize> = line
+        .split(", ")
+        .map(|part| part.split(' ').next().unwrap().parse().unwrap())
+        .collect();
+    assert!(line.ends_with(" uncacheable"), "{line}");
+    (counts[0], counts[1], counts[2])
+}
+
+/// The CI gate: SIGKILL a real sweep process partway, re-run it
+/// against the same cache, and byte-diff the artifact against an
+/// uninterrupted run. Release-only — debug builds simulate enough
+/// cells/second to make the kill window unreliable, and CI's
+/// `sweep-resume` job runs the release suite.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -439,10 +447,11 @@ fn kill_mid_sweep_then_resume_is_byte_identical() {
     let base = scratch("kill");
     let ref_out = base.join("reference");
     let res_out = base.join("resumed");
-    let journal_dir = base.join("journal");
+    let cache_dir = base.join("cache");
     let lines = "60000";
+    let cells = 24;
 
-    // Reference: uninterrupted, serial, no journal.
+    // Reference: uninterrupted, serial, no cache.
     let status = Command::new(bin)
         .args(["--out", ref_out.to_str().unwrap(), "--threads", "1"])
         .env("RB_PROBE_LINES", lines)
@@ -451,32 +460,30 @@ fn kill_mid_sweep_then_resume_is_byte_identical() {
         .expect("spawn reference run");
     assert!(status.success(), "reference run failed");
 
-    // Journaled run, killed once the journal shows progress but (we
-    // hope) before completion. SIGKILL, not SIGTERM: no destructors,
-    // exactly the preemption the journal exists for.
-    let journaled = |threads: &str| {
+    // Cached run, killed once the cache shows progress but (we hope)
+    // before completion. SIGKILL, not SIGTERM: no destructors, exactly
+    // the preemption resume exists for.
+    let cached = |threads: &str| {
         let mut cmd = Command::new(bin);
         cmd.args([
             "--out",
             res_out.to_str().unwrap(),
-            "--journal",
-            journal_dir.to_str().unwrap(),
+            "--cache",
+            cache_dir.to_str().unwrap(),
             "--threads",
             threads,
         ])
         .env("RB_PROBE_LINES", lines)
-        .stdout(Stdio::null());
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped());
         cmd
     };
-    let mut child = journaled("2").spawn().expect("spawn journaled run");
-    let journal_file = journal_dir.join("sweep_resume_probe.wal");
+    let mut child = cached("2").spawn().expect("spawn cached run");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
     let mut finished_early = false;
     loop {
-        if let Ok(stats) = inspect(&journal_file) {
-            if stats.records() >= 3 {
-                break;
-            }
+        if wal_stats(&cache_dir).is_ok_and(|s| s.entries >= 3) {
+            break;
         }
         if child.try_wait().expect("try_wait").is_some() {
             finished_early = true;
@@ -484,25 +491,33 @@ fn kill_mid_sweep_then_resume_is_byte_identical() {
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "journaled run made no progress within 120 s"
+            "cached run made no progress within 120 s"
         );
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
-    if !finished_early {
+    let at_kill = if finished_early {
+        eprintln!("note: probe finished before the kill window; resume degrades to pure replay");
+        cells
+    } else {
         child.kill().expect("SIGKILL the sweep");
         child.wait().expect("reap the killed sweep");
-        let at_kill = inspect(&journal_file).expect("journal after kill");
+        let at_kill = wal_stats(&cache_dir).expect("cache after kill").entries;
         assert!(
-            at_kill.records() < 24,
+            at_kill < cells,
             "kill landed after completion; probe too fast for the gate"
         );
-    } else {
-        eprintln!("note: probe finished before the kill window; resume degrades to pure replay");
-    }
+        at_kill
+    };
 
-    // Resume (different thread count on purpose) and byte-diff.
-    let status = journaled("4").status().expect("spawn resumed run");
-    assert!(status.success(), "resumed run failed");
+    // Resume (different thread count on purpose) and byte-diff. Every
+    // entry intact at the kill is a hit; exactly the rest are solved.
+    let resumed = cached("4").output().expect("spawn resumed run");
+    assert!(resumed.status.success(), "resumed run failed");
+    assert_eq!(
+        cache_line_counts(&resumed.stderr, "sweep_resume_probe"),
+        (at_kill, cells - at_kill, 0),
+        "resume must serve every stored cell and solve only the rest"
+    );
     let reference = std::fs::read(ref_out.join("sweep_resume_probe.json")).unwrap();
     let resumed = std::fs::read(res_out.join("sweep_resume_probe.json")).unwrap();
     assert!(
@@ -512,8 +527,8 @@ fn kill_mid_sweep_then_resume_is_byte_identical() {
         resumed.len()
     );
     assert_eq!(
-        inspect(&journal_file).unwrap().records(),
-        24,
-        "journal holds every cell after resume"
+        wal_stats(&cache_dir).unwrap().entries,
+        cells,
+        "cache holds every cell after resume"
     );
 }

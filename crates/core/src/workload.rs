@@ -32,6 +32,9 @@
 //!         let heads = (0..self.flips).filter(|_| rng.bernoulli(0.5)).count();
 //!         vec![Metric::exact("heads", heads as f64)]
 //!     }
+//!     fn cache_params(&self) -> Option<String> {
+//!         Some(format!("flips={}", self.flips))
+//!     }
 //! }
 //!
 //! let w = CoinBias { flips: 100 };
@@ -75,16 +78,16 @@ pub trait Workload {
     /// content-addressed cache key (`rbbench::cache`), alongside
     /// [`Workload::label`] and the derived seed.
     ///
-    /// `None` (the default) means "not cacheable": the cache layer
-    /// always re-runs such workloads. Opting in is a promise that two
-    /// instances returning the same `(label, cache_params)` string pair
-    /// produce bit-identical metrics under the same seed — so the
-    /// string must cover *all* of `self`, with floats rendered via
-    /// [`canon_f64`] (raw IEEE-754 bits; `1.0` vs `1.0 + 1e-16` must
-    /// not collide, and NaN payloads must round-trip).
-    fn cache_params(&self) -> Option<String> {
-        None
-    }
+    /// Required, so no workload is silently left outside the cache —
+    /// the cache is also how an interrupted sweep resumes. `Some` is a
+    /// promise that two instances returning the same
+    /// `(label, cache_params)` pair produce bit-identical metrics under
+    /// the same seed, so the string must cover *all* of what `run`
+    /// reads, with floats rendered via [`canon_f64`] (raw IEEE-754
+    /// bits; `1.0` vs `1.0 + 1e-16` must not collide, and NaN payloads
+    /// must round-trip). `None` marks a workload that must always
+    /// re-run; every production workload returns `Some`.
+    fn cache_params(&self) -> Option<String>;
 }
 
 /// Canonical, injective rendering of an `f64` for cache-key material:
@@ -564,6 +567,21 @@ impl Workload for FailureEpisodes {
         format!("failure-episodes/n{}", self.params.n())
     }
 
+    fn cache_params(&self) -> Option<String> {
+        Some(format!(
+            "{};error_rates=[{}];p_propagate={};p_detect_foreign={};episodes={};t_r={};\
+             directed={};prp={}",
+            canon_async_params(&self.params),
+            canon_f64s(&self.fault.error_rates),
+            canon_f64(self.fault.p_propagate),
+            canon_f64(self.fault.p_detect_foreign),
+            self.episodes,
+            canon_f64(self.t_r),
+            self.directed,
+            self.prp
+        ))
+    }
+
     fn run(&self, seed: u64) -> Vec<Metric> {
         let mut metrics = Vec::with_capacity(18);
         let sym = AsyncScheme::new(
@@ -630,6 +648,18 @@ impl Workload for Conversations {
         format!("conversations/k{}", self.cfg.k)
     }
 
+    fn cache_params(&self) -> Option<String> {
+        Some(format!(
+            "{};k={};conversation_rate={};p_fail={};max_rounds={};horizon={}",
+            canon_async_params(&self.cfg.params),
+            self.cfg.k,
+            canon_f64(self.cfg.conversation_rate),
+            canon_f64(self.cfg.p_fail),
+            self.cfg.max_rounds,
+            canon_f64(self.horizon)
+        ))
+    }
+
     fn run(&self, seed: u64) -> Vec<Metric> {
         let stats = run_conversations(&self.cfg, self.horizon, seed);
         let total = (stats.completed + stats.abandoned).max(1);
@@ -663,6 +693,14 @@ pub struct HistoryAudit {
 impl Workload for HistoryAudit {
     fn label(&self) -> String {
         format!("history-audit/n{}", self.params.n())
+    }
+
+    fn cache_params(&self) -> Option<String> {
+        Some(format!(
+            "{};horizon={}",
+            canon_async_params(&self.params),
+            canon_f64(self.horizon)
+        ))
     }
 
     fn run(&self, seed: u64) -> Vec<Metric> {
@@ -891,34 +929,301 @@ mod tests {
         assert_eq!(dist.dist().unwrap().count, 300);
     }
 
+    /// Asserts `base` is cacheable and that each single-field variant
+    /// renders a different `cache_params` string (each variant changes
+    /// exactly one field that `run` reads).
+    fn assert_each_field_is_keyed(base: &dyn Workload, variants: Vec<(&str, Box<dyn Workload>)>) {
+        let key = base
+            .cache_params()
+            .unwrap_or_else(|| panic!("{} must be cacheable", base.label()));
+        for (field, variant) in variants {
+            let flipped = variant
+                .cache_params()
+                .unwrap_or_else(|| panic!("{} must be cacheable", variant.label()));
+            assert_ne!(key, flipped, "{}: `{field}` is not keyed", base.label());
+        }
+    }
+
     #[test]
     fn cache_params_cover_every_config_field() {
-        // Cacheable workloads: any field change must change the string.
-        let base = AsyncIntervals::new(params3(), 200);
-        let p = base.cache_params().unwrap();
-        assert_ne!(
-            p,
-            AsyncIntervals::new(params3(), 201).cache_params().unwrap()
+        let other = || AsyncParams::symmetric(3, 1.0, 1.5);
+        let dist = DistSpec::new(0.0, 8.0, 16);
+
+        let ai = AsyncIntervals::new(params3(), 200);
+        assert_each_field_is_keyed(
+            &ai,
+            vec![
+                ("params", Box::new(AsyncIntervals::new(other(), 200))),
+                ("lines", Box::new(AsyncIntervals::new(params3(), 201))),
+                ("dist", Box::new(ai.clone().with_distribution(dist))),
+            ],
         );
-        assert_ne!(
-            p,
-            AsyncIntervals::new(AsyncParams::symmetric(3, 1.0, 1.5), 200)
-                .cache_params()
-                .unwrap()
+
+        let ad = AsyncDensity {
+            params: params3(),
+            lines: 100,
+            t_max: 4.0,
+            bins: 40,
+        };
+        assert_each_field_is_keyed(
+            &ad,
+            vec![
+                (
+                    "params",
+                    Box::new(AsyncDensity {
+                        params: other(),
+                        ..ad.clone()
+                    }),
+                ),
+                (
+                    "lines",
+                    Box::new(AsyncDensity {
+                        lines: 101,
+                        ..ad.clone()
+                    }),
+                ),
+                (
+                    "t_max",
+                    Box::new(AsyncDensity {
+                        t_max: 4.5,
+                        ..ad.clone()
+                    }),
+                ),
+                (
+                    "bins",
+                    Box::new(AsyncDensity {
+                        bins: 41,
+                        ..ad.clone()
+                    }),
+                ),
+            ],
         );
-        assert_ne!(
-            p,
-            base.clone()
-                .with_distribution(DistSpec::new(0.0, 8.0, 16))
-                .cache_params()
-                .unwrap()
+
+        let st = SyncTimeline {
+            params: params3(),
+            strategy: SyncStrategy::ElapsedSinceLine(5.0),
+            horizon: 100.0,
+            dist: None,
+        };
+        assert_each_field_is_keyed(
+            &st,
+            vec![
+                (
+                    "params",
+                    Box::new(SyncTimeline {
+                        params: other(),
+                        ..st.clone()
+                    }),
+                ),
+                (
+                    "strategy kind",
+                    Box::new(SyncTimeline {
+                        strategy: SyncStrategy::ConstantInterval(5.0),
+                        ..st.clone()
+                    }),
+                ),
+                (
+                    "strategy value",
+                    Box::new(SyncTimeline {
+                        strategy: SyncStrategy::ElapsedSinceLine(-0.0),
+                        ..st.clone()
+                    }),
+                ),
+                (
+                    "horizon",
+                    Box::new(SyncTimeline {
+                        horizon: 101.0,
+                        ..st.clone()
+                    }),
+                ),
+                (
+                    "dist",
+                    Box::new(SyncTimeline {
+                        dist: Some(dist),
+                        ..st.clone()
+                    }),
+                ),
+            ],
         );
+
+        let sc = SplitChainStats {
+            params: params3(),
+            tagged: 0,
+        };
+        assert_each_field_is_keyed(
+            &sc,
+            vec![
+                (
+                    "params",
+                    Box::new(SplitChainStats {
+                        params: other(),
+                        tagged: 0,
+                    }),
+                ),
+                (
+                    "tagged",
+                    Box::new(SplitChainStats {
+                        params: params3(),
+                        tagged: 1,
+                    }),
+                ),
+            ],
+        );
+
+        let ps = PrpStorage {
+            params: params3(),
+            horizon: 50.0,
+            t_r: 1e-3,
+        };
+        assert_each_field_is_keyed(
+            &ps,
+            vec![
+                (
+                    "params",
+                    Box::new(PrpStorage {
+                        params: other(),
+                        ..ps.clone()
+                    }),
+                ),
+                (
+                    "horizon",
+                    Box::new(PrpStorage {
+                        horizon: 51.0,
+                        ..ps.clone()
+                    }),
+                ),
+                (
+                    "t_r",
+                    Box::new(PrpStorage {
+                        t_r: 2e-3,
+                        ..ps.clone()
+                    }),
+                ),
+            ],
+        );
+
+        let fault = || FaultConfig::uniform(3, 0.1, 0.5, 0.5);
+        let fe = FailureEpisodes::new(params3(), fault(), 10);
+        let with_fault = |f: FaultConfig| FailureEpisodes {
+            fault: f,
+            ..fe.clone()
+        };
+        let mut skewed_rates = fault();
+        skewed_rates.error_rates[2] = 0.2;
+        assert_each_field_is_keyed(
+            &fe,
+            vec![
+                (
+                    "params",
+                    Box::new(FailureEpisodes {
+                        params: other(),
+                        ..fe.clone()
+                    }),
+                ),
+                ("fault.error_rates", Box::new(with_fault(skewed_rates))),
+                (
+                    "fault.p_propagate",
+                    Box::new(with_fault(FaultConfig::uniform(3, 0.1, 0.6, 0.5))),
+                ),
+                (
+                    "fault.p_detect_foreign",
+                    Box::new(with_fault(FaultConfig::uniform(3, 0.1, 0.5, 0.6))),
+                ),
+                (
+                    "episodes",
+                    Box::new(FailureEpisodes {
+                        episodes: 11,
+                        ..fe.clone()
+                    }),
+                ),
+                (
+                    "t_r",
+                    Box::new(FailureEpisodes {
+                        t_r: 2e-3,
+                        ..fe.clone()
+                    }),
+                ),
+                ("directed", Box::new(fe.clone().without_directed())),
+                ("prp", Box::new(fe.clone().without_prp())),
+            ],
+        );
+
+        let cv = Conversations {
+            cfg: ConversationConfig::new(AsyncParams::symmetric(4, 1.0, 1.0), 2),
+            horizon: 300.0,
+        };
+        let with_cfg = |edit: fn(&mut ConversationConfig)| {
+            let mut w = cv.clone();
+            edit(&mut w.cfg);
+            w
+        };
+        assert_each_field_is_keyed(
+            &cv,
+            vec![
+                (
+                    "cfg.params",
+                    Box::new(with_cfg(|c| c.params = AsyncParams::symmetric(4, 1.0, 1.5))),
+                ),
+                ("cfg.k", Box::new(with_cfg(|c| c.k = 3))),
+                (
+                    "cfg.conversation_rate",
+                    Box::new(with_cfg(|c| c.conversation_rate = 0.3)),
+                ),
+                ("cfg.p_fail", Box::new(with_cfg(|c| c.p_fail = 0.1))),
+                ("cfg.max_rounds", Box::new(with_cfg(|c| c.max_rounds = 4))),
+                (
+                    "horizon",
+                    Box::new(Conversations {
+                        horizon: 301.0,
+                        ..cv.clone()
+                    }),
+                ),
+            ],
+        );
+
+        let ha = HistoryAudit {
+            params: params3(),
+            horizon: 10.0,
+        };
+        assert_each_field_is_keyed(
+            &ha,
+            vec![
+                (
+                    "params",
+                    Box::new(HistoryAudit {
+                        params: other(),
+                        horizon: 10.0,
+                    }),
+                ),
+                (
+                    "horizon",
+                    Box::new(HistoryAudit {
+                        params: params3(),
+                        horizon: 11.0,
+                    }),
+                ),
+            ],
+        );
+
+        let tail = |params: AsyncParams, p: f64, levels: usize, trials: usize, z: f64| {
+            crate::tail::SplittingTail::new("t", params, p, levels, trials, z)
+        };
+        let tl = tail(params3(), 1e-3, 4, 100, 5.0);
+        assert_each_field_is_keyed(
+            &tl,
+            vec![
+                ("params", Box::new(tail(other(), 1e-3, 4, 100, 5.0))),
+                ("threshold", Box::new(tail(params3(), 1e-4, 4, 100, 5.0))),
+                ("levels", Box::new(tail(params3(), 1e-3, 5, 100, 5.0))),
+                ("trials", Box::new(tail(params3(), 1e-3, 4, 101, 5.0))),
+                ("z", Box::new(tail(params3(), 1e-3, 4, 100, 4.0))),
+                ("p_exact", Box::new(tl.clone().with_reference(0.5))),
+            ],
+        );
+
         // canon_f64 is bit-level: -0.0 and 0.0 differ, NaN survives.
         assert_ne!(canon_f64(0.0), canon_f64(-0.0));
         assert_eq!(canon_f64(f64::NAN), canon_f64(f64::NAN));
-        // The fault-injection workload stays uncacheable by default.
-        let f = FailureEpisodes::new(params3(), FaultConfig::uniform(3, 0.1, 0.5, 0.5), 1);
-        assert!(f.cache_params().is_none());
     }
 
     #[test]

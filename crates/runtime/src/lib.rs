@@ -12,8 +12,8 @@
 //! * [`wal`] — length-prefixed, checksummed record framing for durable
 //!   journals (the on-disk counterpart of the checkpoint discipline:
 //!   a killed writer leaves a log replayable up to its last intact
-//!   record — `rbbench`'s resumable sweep journal builds on it);
-//! * [`faultio`] — the injectable I/O seam under those journals: a
+//!   record — `rbbench`'s result cache builds on it);
+//! * [`faultio`] — the injectable I/O seam under those logs: a
 //!   seeded, deterministic fault plan (short writes, silent bit flips,
 //!   transient errors, disk-full) so the recovery policies above are
 //!   exercised by *sweeps over fault schedules*, not hand-picked kill

@@ -13,7 +13,7 @@
 //!   the first frame that is incomplete (torn tail) or whose checksum
 //!   does not match (corruption) — everything before that offset is
 //!   intact, everything after it is discarded by the owner;
-//! * frames carry opaque payloads: what they mean (sweep cells,
+//! * frames carry opaque payloads: what they mean (cache entries,
 //!   checkpoint snapshots, …) is the owner's concern, which keeps the
 //!   torn-tail rule identical across every log in the workspace.
 //!
