@@ -1,13 +1,13 @@
 //! Criterion: Markov-solver scaling.
 //!
 //! How expensive are the analytic solves as the process count grows?
-//! The full chain is 2ⁿ+1 states — dense LU through n = 10, CSR
-//! Gauss–Seidel through n = 13, matrix-free Krylov beyond — the lumped
-//! chain n+2 states, and the density solve is uniformization over the
-//! full chain. The `mean_interval/strategy` group pits sparse
-//! Gauss–Seidel against the matrix-free path on identical models at
-//! the sizes where they hand over (the CI perf-smoke job runs this
-//! group on every PR).
+//! The full chain is 2ⁿ+1 states — dense LU through n = 10, matrix-free
+//! Krylov beyond — the lumped chain n+2 states, and the density solve
+//! is uniformization over the full chain. The `mean_interval/strategy`
+//! group races dense LU against the matrix-free path on identical
+//! models at n = 8 and 10, where the auto dispatch hands over, then
+//! follows matrix-free alone to n = 16 (the CI perf-smoke job runs
+//! this group on every PR).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbmarkov::paper::{mean_interval_symmetric, AsyncParams, SplitChain};
@@ -40,20 +40,19 @@ fn bench_mean_interval_lumped(c: &mut Criterion) {
 }
 
 fn bench_solver_strategies(c: &mut Criterion) {
-    // Identical models (ρ = 1), two backends. Gauss–Seidel stops at its
-    // n = 13 cap — beyond it the CSR alone is the problem — while the
-    // matrix-free operator continues to n = 16 here (n = 20 lives in
-    // the fig2/fig3 sweeps and the matfree_scale gates).
+    // Identical models (ρ = 1), two backends. Dense LU stops at its
+    // n = 10 cap — beyond it the O(S³) factorisation is the problem —
+    // while the matrix-free operator continues to n = 16 here (n = 20
+    // lives in the fig2/fig3 sweeps and the matfree_scale gates).
     let mut g = c.benchmark_group("mean_interval/strategy");
-    for n in [12usize, 13] {
-        let params = AsyncParams::symmetric(n, 1.0, 1.0 / (n as f64 - 1.0));
-        g.bench_with_input(BenchmarkId::new("sparse_gs", n), &params, |b, p| {
-            b.iter(|| black_box(p.mean_interval_with(SolverStrategy::GaussSeidel)))
+    let rho_one = |n: usize| AsyncParams::symmetric(n, 1.0, 1.0 / (n as f64 - 1.0));
+    for n in [8usize, 10] {
+        g.bench_with_input(BenchmarkId::new("dense", n), &rho_one(n), |b, p| {
+            b.iter(|| black_box(p.mean_interval_with(SolverStrategy::Dense)))
         });
     }
-    for n in [12usize, 13, 14, 16] {
-        let params = AsyncParams::symmetric(n, 1.0, 1.0 / (n as f64 - 1.0));
-        g.bench_with_input(BenchmarkId::new("matrix_free", n), &params, |b, p| {
+    for n in [8usize, 10, 12, 13, 14, 16] {
+        g.bench_with_input(BenchmarkId::new("matrix_free", n), &rho_one(n), |b, p| {
             b.iter(|| black_box(p.mean_interval_with(SolverStrategy::MatrixFree)))
         });
     }

@@ -7,7 +7,7 @@
 //! experiments need:
 //!
 //! * the **mean absorption time** E\[X\] from the linear system
-//!   (−Q_TT)·τ = 1 (dense LU for small chains, Gauss–Seidel for large);
+//!   (−Q_TT)·τ = 1 (dense LU for small chains, BiCGSTAB for large);
 //! * the **absorption-time density** f_X(t) (paper Figure 6) via
 //!   uniformization, as the probability flux into the absorbing states.
 
@@ -165,8 +165,8 @@ impl Ctmc {
     /// Mean time to absorption starting from `start`.
     ///
     /// Solves (−Q_TT)·τ = 1 over the transient states with the backend
-    /// [`SolverStrategy::auto`] picks for the block size: dense LU,
-    /// CSR Gauss–Seidel, or operator-interface BiCGSTAB.
+    /// [`SolverStrategy::auto`] picks for the block size: dense LU or
+    /// operator-interface BiCGSTAB.
     ///
     /// # Panics
     /// Panics if the chain has no absorbing state, or if `start` is
@@ -281,34 +281,6 @@ impl Ctmc {
                 }
                 let lu = LuFactors::new(a).expect("transient generator block is nonsingular");
                 lu.solve(b)
-            }
-            SolverStrategy::GaussSeidel => {
-                // Gauss–Seidel on xᵢ = (bᵢ + Σ_{j≠i} q_ij xⱼ) / (−q_ii).
-                let mut tau = vec![0.0; nt];
-                let max_iter = 200_000;
-                let tol = 1e-12;
-                for _ in 0..max_iter {
-                    let mut delta = 0.0_f64;
-                    for (k, &s) in transient.iter().enumerate() {
-                        let mut acc = b[k];
-                        let mut diag = 0.0;
-                        for (c, v) in self.q.row(s) {
-                            if c == s {
-                                diag = -v;
-                            } else if local[c] != usize::MAX {
-                                acc += v * tau[local[c]];
-                            }
-                        }
-                        debug_assert!(diag > 0.0);
-                        let new = acc / diag;
-                        delta = delta.max((new - tau[k]).abs());
-                        tau[k] = new;
-                    }
-                    if delta < tol {
-                        return tau;
-                    }
-                }
-                panic!("Gauss–Seidel failed to converge on absorption times");
             }
             SolverStrategy::MatrixFree => {
                 // BiCGSTAB touching the CSR generator only through
@@ -660,9 +632,7 @@ mod tests {
             ],
         );
         let dense = c.mean_absorption_time_with(0, SolverStrategy::Dense);
-        let gs = c.mean_absorption_time_with(0, SolverStrategy::GaussSeidel);
         let krylov = c.mean_absorption_time_with(0, SolverStrategy::MatrixFree);
-        assert!((dense - gs).abs() < 1e-9 * dense, "{dense} vs GS {gs}");
         assert!(
             (dense - krylov).abs() < 1e-9 * dense,
             "{dense} vs Krylov {krylov}"

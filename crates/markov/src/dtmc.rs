@@ -117,49 +117,6 @@ impl Dtmc {
                     .expect("fundamental matrix is nonsingular for absorbing chains")
                     .solve(&b)
             }
-            SolverStrategy::GaussSeidel => {
-                // Gauss–Seidel on v = e_start + Qᵀ·v.
-                // Build the transposed adjacency once.
-                let mut incoming: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nt];
-                let mut self_loop = vec![0.0; nt];
-                for (k, &s) in transient.iter().enumerate() {
-                    for (c, p) in self.p.row(s) {
-                        if local[c] == usize::MAX {
-                            continue;
-                        }
-                        if local[c] == k {
-                            self_loop[k] = p;
-                        } else {
-                            incoming[local[c]].push((k, p));
-                        }
-                    }
-                }
-                let mut v = vec![0.0; nt];
-                let max_iter = 500_000;
-                let tol = 1e-12;
-                let mut converged = false;
-                for _ in 0..max_iter {
-                    let mut delta = 0.0_f64;
-                    for j in 0..nt {
-                        let mut acc = if j == start_local { 1.0 } else { 0.0 };
-                        for &(k, p) in &incoming[j] {
-                            acc += p * v[k];
-                        }
-                        let new = acc / (1.0 - self_loop[j]);
-                        delta = delta.max((new - v[j]).abs());
-                        v[j] = new;
-                    }
-                    if delta < tol {
-                        converged = true;
-                        break;
-                    }
-                }
-                assert!(
-                    converged,
-                    "Gauss–Seidel failed to converge on expected visits"
-                );
-                v
-            }
             SolverStrategy::MatrixFree => {
                 // BiCGSTAB on (I − Qᵀ)·v = e_start, touching the CSR
                 // only through operator applies.
@@ -314,10 +271,8 @@ mod tests {
         );
         let transient = [true, true, true, false];
         let dense = d.expected_visits_with(0, &transient, SolverStrategy::Dense);
-        let gs = d.expected_visits_with(0, &transient, SolverStrategy::GaussSeidel);
         let krylov = d.expected_visits_with(0, &transient, SolverStrategy::MatrixFree);
         for s in 0..4 {
-            assert!((dense[s] - gs[s]).abs() < 1e-9, "state {s}: GS");
             assert!((dense[s] - krylov[s]).abs() < 1e-9, "state {s}: Krylov");
         }
     }

@@ -266,11 +266,11 @@ fn bicgstab_recurrence(
 const KRYLOV_TOL: f64 = 1e-13;
 
 /// Hard acceptance bound: a solve whose true relative residual exceeds
-/// this is treated as failed (panic), mirroring the Gauss–Seidel path's
-/// convergence panic. On badly conditioned models (the domino regime,
-/// where E\[X\] approaches 1/ε) *no* f64 backend — dense LU included —
-/// can do better than κ·ε, so the bound stops at 1e-8 rather than
-/// machine precision.
+/// this is treated as failed (panic) rather than returned as an answer.
+/// On badly conditioned models (the domino regime, where E\[X\]
+/// approaches 1/ε) *no* f64 backend — dense LU included — can do
+/// better than κ·ε, so the bound stops at 1e-8 rather than machine
+/// precision.
 const KRYLOV_ACCEPT: f64 = 1e-8;
 
 /// Iteration cap. Each iteration costs four operator applies (two in
@@ -639,8 +639,8 @@ impl FlagChainOp {
     ///
     /// # Panics
     /// Panics if the Krylov solve fails to reach the acceptance
-    /// residual — the matrix-free analogue of the Gauss–Seidel
-    /// convergence panic.
+    /// residual ([`KRYLOV_ACCEPT`]): an unconverged iterate is never
+    /// returned as an answer.
     fn solve_transient(&self, b: &[f64], transpose: bool) -> Vec<f64> {
         let (x, outcome) = self.solve(b, transpose);
         assert!(

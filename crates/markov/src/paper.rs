@@ -187,8 +187,8 @@ impl AsyncParams {
     }
 
     /// The backend [`SolverStrategy::auto`] picks for this model's 2ⁿ
-    /// transient states: dense LU through n = 10, CSR Gauss–Seidel
-    /// through n = 13, matrix-free Krylov beyond.
+    /// transient states: dense LU through n = 10, matrix-free Krylov
+    /// beyond.
     pub fn solver_strategy(&self) -> SolverStrategy {
         SolverStrategy::auto(1usize << self.n())
     }
@@ -197,8 +197,8 @@ impl AsyncParams {
     /// either the materialised chain or the matrix-free operator.
     fn chain_solver(&self, strategy: SolverStrategy) -> ChainSolver {
         match strategy {
+            SolverStrategy::Dense => ChainSolver::Dense(self.build_full_chain()),
             SolverStrategy::MatrixFree => ChainSolver::MatrixFree(self.matrix_free_op()),
-            s => ChainSolver::Materialized(self.build_full_chain(), s),
         }
     }
 
@@ -368,51 +368,47 @@ impl AsyncParams {
 }
 
 /// One absorption-solve backend bound to a concrete model: either the
-/// materialised chain (dense LU or CSR Gauss–Seidel over its CSR
-/// generator) or the never-materialised bit-mask operator.
+/// materialised chain (dense LU over its transient block) or the
+/// never-materialised bit-mask operator.
 enum ChainSolver {
-    Materialized(FlagChain, SolverStrategy),
+    Dense(FlagChain),
     MatrixFree(FlagChainOp),
 }
 
 impl ChainSolver {
     fn mean_interval(&self) -> f64 {
         match self {
-            ChainSolver::Materialized(chain, s) => {
-                chain.ctmc.mean_absorption_time_with(FlagChain::START, *s)
-            }
+            ChainSolver::Dense(chain) => chain
+                .ctmc
+                .mean_absorption_time_with(FlagChain::START, SolverStrategy::Dense),
             ChainSolver::MatrixFree(op) => op.mean_absorption_time(),
         }
     }
 
     fn interval_cdf(&self, t: f64) -> f64 {
         match self {
-            ChainSolver::Materialized(chain, _) => chain.ctmc.absorption_cdf(FlagChain::START, t),
+            ChainSolver::Dense(chain) => chain.ctmc.absorption_cdf(FlagChain::START, t),
             ChainSolver::MatrixFree(op) => op.absorption_cdf(t),
         }
     }
 
     fn interval_cdf_batch(&self, ts: &[f64]) -> Vec<f64> {
         match self {
-            ChainSolver::Materialized(chain, _) => {
-                chain.ctmc.absorption_cdf_batch(FlagChain::START, ts)
-            }
+            ChainSolver::Dense(chain) => chain.ctmc.absorption_cdf_batch(FlagChain::START, ts),
             ChainSolver::MatrixFree(op) => op.absorption_cdf_batch(ts),
         }
     }
 
     fn interval_density(&self, ts: &[f64]) -> Vec<f64> {
         match self {
-            ChainSolver::Materialized(chain, _) => chain.interval_density(ts),
+            ChainSolver::Dense(chain) => chain.interval_density(ts),
             ChainSolver::MatrixFree(op) => op.absorption_density(ts),
         }
     }
 
     fn second_moment(&self) -> f64 {
         match self {
-            ChainSolver::Materialized(chain, _) => {
-                chain.ctmc.absorption_time_second_moment(FlagChain::START)
-            }
+            ChainSolver::Dense(chain) => chain.ctmc.absorption_time_second_moment(FlagChain::START),
             ChainSolver::MatrixFree(op) => op.absorption_time_second_moment(),
         }
     }
@@ -421,7 +417,7 @@ impl ChainSolver {
     /// second-moment recursion's τ solve instead of paying its own.
     fn moments(&self) -> (f64, f64) {
         match self {
-            ChainSolver::Materialized(..) => (self.mean_interval(), self.second_moment()),
+            ChainSolver::Dense(_) => (self.mean_interval(), self.second_moment()),
             ChainSolver::MatrixFree(op) => op.absorption_time_moments(),
         }
     }
@@ -1132,11 +1128,7 @@ mod tests {
     fn cdf_batch_matches_pointwise_on_every_backend() {
         let p = AsyncParams::three((1.5, 1.0, 0.5), (1.0, 0.5, 1.5));
         let ts = [-0.5, 0.0, 0.1, 0.7, 1.3, 2.9, 6.0];
-        for strategy in [
-            SolverStrategy::Dense,
-            SolverStrategy::GaussSeidel,
-            SolverStrategy::MatrixFree,
-        ] {
+        for strategy in [SolverStrategy::Dense, SolverStrategy::MatrixFree] {
             let batch = p.interval_cdf_batch_with(strategy, &ts);
             for (&t, &f) in ts.iter().zip(&batch) {
                 let want = if t < 0.0 {
@@ -1221,24 +1213,25 @@ mod tests {
         }
     }
 
+    /// The heterogeneous-rate model the backend-agreement tests share:
+    /// μᵢ = 0.7 + 0.3·(i mod 3), λₖ = 0.1 + 0.12·(k mod 4).
+    fn heterogeneous(n: usize) -> AsyncParams {
+        let mu: Vec<f64> = (0..n).map(|i| 0.7 + 0.3 * (i % 3) as f64).collect();
+        let lambda: Vec<f64> = (0..n * (n - 1) / 2)
+            .map(|k| 0.1 + 0.12 * (k % 4) as f64)
+            .collect();
+        AsyncParams::new(mu, lambda).unwrap()
+    }
+
     #[test]
     fn all_strategies_agree_on_heterogeneous_rates() {
-        // The same model solved three ways — dense LU, CSR
-        // Gauss–Seidel, matrix-free Krylov — must agree to solver
-        // precision, at every size the dense reference can reach.
+        // The same model solved both ways — dense LU and matrix-free
+        // Krylov — must agree to solver precision, at every size the
+        // dense reference can reach.
         for n in [3usize, 5, 7] {
-            let mu: Vec<f64> = (0..n).map(|i| 0.7 + 0.3 * (i % 3) as f64).collect();
-            let lambda: Vec<f64> = (0..n * (n - 1) / 2)
-                .map(|k| 0.1 + 0.12 * (k % 4) as f64)
-                .collect();
-            let p = AsyncParams::new(mu, lambda).unwrap();
+            let p = heterogeneous(n);
             let dense = p.mean_interval_with(SolverStrategy::Dense);
-            let gs = p.mean_interval_with(SolverStrategy::GaussSeidel);
             let mf = p.mean_interval_with(SolverStrategy::MatrixFree);
-            assert!(
-                (gs - dense).abs() < 1e-9 * dense,
-                "n={n}: GS {gs} vs {dense}"
-            );
             assert!(
                 (mf - dense).abs() < 1e-9 * dense,
                 "n={n}: matrix-free {mf} vs {dense}"
@@ -1253,43 +1246,54 @@ mod tests {
             SolverStrategy::Dense
         );
         assert_eq!(
-            AsyncParams::symmetric(12, 1.0, 1.0).solver_strategy(),
-            SolverStrategy::GaussSeidel
+            AsyncParams::symmetric(10, 1.0, 1.0).solver_strategy(),
+            SolverStrategy::Dense
         );
         assert_eq!(
-            AsyncParams::symmetric(14, 1.0, 1.0).solver_strategy(),
+            AsyncParams::symmetric(11, 1.0, 1.0).solver_strategy(),
             SolverStrategy::MatrixFree
         );
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "minutes in debug; run with --release")]
-    fn large_n_sparse_gauss_seidel_matches_lumped() {
-        // n = 12 ⇒ 4097 states > the dense limit: exercises the sparse
-        // Gauss–Seidel absorption solve against the exact lumped chain.
-        let (n, mu, lambda) = (12usize, 1.0, 0.1);
-        let p = AsyncParams::symmetric(n, mu, lambda);
-        let full = p.mean_interval();
-        let lumped = mean_interval_symmetric(n, mu, lambda);
+    fn heterogeneous_n11_mean_interval_matches_split_chain() {
+        // n = 11 is the first size past the dense cap, so `auto` hands
+        // the solve to the matrix-free operator. The split chain Y_d of
+        // §2.3-II is an independent route to the same E[X]: expected
+        // uniformized steps to absorption over the event rate G.
+        let p = heterogeneous(11);
+        assert_eq!(p.solver_strategy(), SolverStrategy::MatrixFree);
+        let ex = p.mean_interval();
+        let sc = SplitChain::build(&p, 0);
+        let via_yd = sc.expected_steps() / sc.g;
         assert!(
-            (full - lumped).abs() < 1e-6 * lumped,
-            "sparse GS {full} vs lumped {lumped}"
-        );
-        // The matrix-free Krylov path, forced onto the same model, must
-        // land on the same answer without ever materialising the chain.
-        let mf = p.mean_interval_with(SolverStrategy::MatrixFree);
-        assert!(
-            (mf - lumped).abs() < 1e-9 * lumped,
-            "matrix-free {mf} vs lumped {lumped}"
+            (ex - via_yd).abs() < 1e-9 * via_yd,
+            "flag chain {ex} vs split chain {via_yd}"
         );
     }
 
     #[test]
-    fn beyond_gauss_seidel_matrix_free_matches_lumped() {
-        // n = 14 ⇒ 2¹⁴+1 states: past the CSR Gauss–Seidel cap, so the
-        // auto dispatch goes matrix-free — and must still reproduce the
-        // exact lumped chain. Cheap enough for debug runs (≈ 20 ms in
-        // release) because the popcount aggregation is exact here.
+    fn n12_auto_matrix_free_matches_lumped() {
+        // n = 12 ⇒ 4097 states > the dense limit: the auto dispatch
+        // solves matrix-free, never materialising the chain, and must
+        // land on the exact lumped chain.
+        let (n, mu, lambda) = (12usize, 1.0, 0.1);
+        let p = AsyncParams::symmetric(n, mu, lambda);
+        assert_eq!(p.solver_strategy(), SolverStrategy::MatrixFree);
+        let full = p.mean_interval();
+        let lumped = mean_interval_symmetric(n, mu, lambda);
+        assert!(
+            (full - lumped).abs() < 1e-9 * lumped,
+            "matrix-free {full} vs lumped {lumped}"
+        );
+    }
+
+    #[test]
+    fn n14_matrix_free_matches_lumped() {
+        // n = 14 ⇒ 2¹⁴+1 states, at ρ = 1 — where the auto dispatch's
+        // matrix-free solve must still reproduce the exact lumped
+        // chain. Cheap enough for debug runs (≈ 20 ms in release)
+        // because the popcount aggregation is exact here.
         let (n, mu) = (14usize, 1.0);
         let lambda = 1.0 / (n as f64 - 1.0);
         let p = AsyncParams::symmetric(n, mu, lambda);

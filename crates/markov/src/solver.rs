@@ -2,37 +2,28 @@
 //!
 //! The workspace solves `(−Q_TT)·x = b` (and its transpose) over chains
 //! whose transient state count spans six orders of magnitude: the n = 2
-//! flag chain has 4 transient states, the n = 20 chain has 2²⁰. No
-//! single backend covers that range, so every absorption entry point
-//! dispatches on a [`SolverStrategy`]:
+//! flag chain has 4 transient states, the n = 20 chain has 2²⁰. Every
+//! absorption entry point dispatches on a [`SolverStrategy`]:
 //!
 //! | strategy | transient states | memory | work |
 //! |----------|------------------|--------|------|
 //! | [`SolverStrategy::Dense`] | ≤ 2¹⁰ | O(S²) | O(S³) LU factorisation |
-//! | [`SolverStrategy::GaussSeidel`] | ≤ 2¹³ | O(nnz) CSR | O(nnz) per sweep |
 //! | [`SolverStrategy::MatrixFree`] | above | O(S) vectors | O(nnz) per [`crate::matfree`] operator apply — the matrix is never stored |
 //!
-//! [`SolverStrategy::auto`] picks the cheapest backend that fits;
-//! benches and conformance tests force specific backends to compare
-//! them on identical problems.
+//! [`SolverStrategy::auto`] picks dense LU while it fits — it is the
+//! exact reference the property tests pin against — and matrix-free
+//! BiCGSTAB above; benches and conformance tests force one backend or
+//! the other to compare them on identical problems.
 
 /// Largest transient-state count solved by dense LU (2¹⁰ — the n = 10
 /// full flag chain).
 pub const DENSE_MAX_STATES: usize = 1 << 10;
-
-/// Largest transient-state count solved by CSR Gauss–Seidel (2¹³ — the
-/// n = 13 full flag chain). Beyond this the CSR itself (O(n²·2ⁿ)
-/// entries for the flag chain) dominates memory and the matrix-free
-/// path wins.
-pub const GAUSS_SEIDEL_MAX_STATES: usize = 1 << 13;
 
 /// Which backend an absorption solve runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverStrategy {
     /// Dense partially-pivoted LU over the materialised transient block.
     Dense,
-    /// Gauss–Seidel sweeps over the materialised CSR generator.
-    GaussSeidel,
     /// Preconditioned BiCGSTAB touching the matrix only through
     /// operator applies ([`crate::matfree::LinOp`]); for the flag chain
     /// the applies come straight from the R1–R4 bit-mask rules and the
@@ -42,13 +33,10 @@ pub enum SolverStrategy {
 
 impl SolverStrategy {
     /// The default backend for a system with `n_transient` transient
-    /// states: dense ≤ [`DENSE_MAX_STATES`], Gauss–Seidel ≤
-    /// [`GAUSS_SEIDEL_MAX_STATES`], matrix-free Krylov above.
+    /// states: dense ≤ [`DENSE_MAX_STATES`], matrix-free Krylov above.
     pub fn auto(n_transient: usize) -> SolverStrategy {
         if n_transient <= DENSE_MAX_STATES {
             SolverStrategy::Dense
-        } else if n_transient <= GAUSS_SEIDEL_MAX_STATES {
-            SolverStrategy::GaussSeidel
         } else {
             SolverStrategy::MatrixFree
         }
@@ -59,7 +47,6 @@ impl std::fmt::Display for SolverStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SolverStrategy::Dense => write!(f, "dense-lu"),
-            SolverStrategy::GaussSeidel => write!(f, "sparse-gauss-seidel"),
             SolverStrategy::MatrixFree => write!(f, "matrix-free-bicgstab"),
         }
     }
@@ -75,11 +62,6 @@ mod tests {
         assert_eq!(SolverStrategy::auto(1 << 10), SolverStrategy::Dense);
         assert_eq!(
             SolverStrategy::auto((1 << 10) + 1),
-            SolverStrategy::GaussSeidel
-        );
-        assert_eq!(SolverStrategy::auto(1 << 13), SolverStrategy::GaussSeidel);
-        assert_eq!(
-            SolverStrategy::auto((1 << 13) + 1),
             SolverStrategy::MatrixFree
         );
         assert_eq!(SolverStrategy::auto(1 << 20), SolverStrategy::MatrixFree);
@@ -88,10 +70,6 @@ mod tests {
     #[test]
     fn displays_name_each_backend() {
         assert_eq!(SolverStrategy::Dense.to_string(), "dense-lu");
-        assert_eq!(
-            SolverStrategy::GaussSeidel.to_string(),
-            "sparse-gauss-seidel"
-        );
         assert_eq!(
             SolverStrategy::MatrixFree.to_string(),
             "matrix-free-bicgstab"

@@ -155,17 +155,15 @@ proptest! {
         prop_assert!(high >= low - 1e-9, "λ↑ must not shorten E[X]: {low} → {high}");
     }
 
-    // ---- matrix-free ↔ dense ↔ Gauss–Seidel conformance -------------
+    // ---- matrix-free ↔ dense conformance ----------------------------
 
     #[test]
-    fn matrix_free_mean_matches_dense_and_gs(p in arb_params(5)) {
-        // Three backends, one model: the matrix-free Krylov solve must
-        // reproduce the dense LU and CSR Gauss–Seidel answers to 1e-9
-        // relative error (the PR's acceptance tolerance for n ≤ 10).
+    fn matrix_free_mean_matches_dense(p in arb_params(5)) {
+        // Two backends, one model: the matrix-free Krylov solve must
+        // reproduce the dense LU answer to 1e-9 relative error (the
+        // acceptance tolerance for n ≤ 10).
         let dense = p.mean_interval_with(SolverStrategy::Dense);
-        let gs = p.mean_interval_with(SolverStrategy::GaussSeidel);
         let mf = p.mean_interval_with(SolverStrategy::MatrixFree);
-        prop_assert!((gs - dense).abs() <= 1e-9 * dense, "GS {gs} vs dense {dense}");
         prop_assert!((mf - dense).abs() <= 1e-9 * dense, "matrix-free {mf} vs dense {dense}");
     }
 

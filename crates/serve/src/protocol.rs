@@ -31,13 +31,16 @@
 //! Parsing never panics: every malformed line becomes an `Err(String)`
 //! rendered back to the client as `{"ok": false, "error": …}`. In
 //! particular [`SubmitRequest::build_spec`] pre-validates parameter
-//! ranges (n ≥ 2, μ > 0, λ ≥ 0, finite bounds) before touching
-//! constructors that panic on contract violations.
+//! ranges (2 ≤ n ≤ [`FlagChainOp::MAX_N`], μ > 0, λ ≥ 0, finite
+//! bounds) before touching constructors that panic on contract
+//! violations or allocate in proportion to n². A request line longer
+//! than [`MAX_LINE_BYTES`] is refused before it is parsed at all.
 
 use rbbench::sweep::{CellReport, SweepSpec};
 use rbcore::workload::{AsyncIntervals, DistSpec};
+use rbmarkov::matfree::FlagChainOp;
 use rbmarkov::paper::AsyncParams;
-use rbtestutil::SchemeConformance;
+use rbtestutil::{standard_matrix, SchemeConformance};
 use serde::{Serialize, Value};
 
 /// Default master seed when a submit carries none: the paper's year.
@@ -46,6 +49,12 @@ pub const DEFAULT_SEED: u64 = 1983;
 /// Largest seed representable exactly as a JSON number (2⁵³); larger
 /// seeds must travel as decimal strings.
 pub const MAX_NUMERIC_SEED: u64 = 1 << 53;
+
+/// Longest accepted request line, in bytes (1 MiB) — far above any
+/// submit a server's `max_cells` admits. The server answers a longer
+/// line with one error naming this limit and closes the connection,
+/// so a client that never sends `\n` cannot grow its buffer unbounded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A parsed client request.
 #[derive(Clone, Debug, PartialEq)]
@@ -95,7 +104,7 @@ pub enum SubmitKind {
     /// ([`rbbench::sweep::AsyncGrid`] with an optional distribution
     /// metric per cell).
     AsyncGrid {
-        /// Process counts (each ≥ 2).
+        /// Process counts (each in 2..=[`FlagChainOp::MAX_N`]).
         n: Vec<usize>,
         /// Checkpoint rates μ (each finite, > 0).
         mu: Vec<f64>,
@@ -201,6 +210,51 @@ fn parse_dist(v: &Value) -> Result<DistSpec, String> {
 }
 
 impl SubmitRequest {
+    /// Validates every parameter range and counts the cells the sweep
+    /// would have, without building any — `None` when the count
+    /// overflows `usize`. The server sheds an oversized submit on this
+    /// count, so a line listing a few thousand values never allocates
+    /// the n·μ·λ cells it names.
+    pub(crate) fn cell_count(&self) -> Result<Option<usize>, String> {
+        match &self.kind {
+            SubmitKind::Conformance { .. } => Ok(Some(standard_matrix(self.seed).len())),
+            SubmitKind::AsyncGrid {
+                n,
+                mu,
+                lambda,
+                lines,
+                ..
+            } => {
+                if n.is_empty() || mu.is_empty() || lambda.is_empty() {
+                    return Err("async_grid: `n`, `mu`, `lambda` must be non-empty".into());
+                }
+                let n_range = 2..=FlagChainOp::MAX_N;
+                if let Some(&bad) = n.iter().find(|x| !n_range.contains(x)) {
+                    return Err(format!(
+                        "async_grid: every n must be ≥ 2 and ≤ {} (FlagChainOp::MAX_N), got {bad}",
+                        FlagChainOp::MAX_N
+                    ));
+                }
+                if let Some(&bad) = mu.iter().find(|&&x| !(x.is_finite() && x > 0.0)) {
+                    return Err(format!(
+                        "async_grid: every mu must be finite and > 0, got {bad}"
+                    ));
+                }
+                if let Some(&bad) = lambda.iter().find(|&&x| !(x.is_finite() && x >= 0.0)) {
+                    return Err(format!(
+                        "async_grid: every lambda must be finite and ≥ 0, got {bad}"
+                    ));
+                }
+                if *lines == 0 {
+                    return Err("async_grid: `lines` must be ≥ 1".into());
+                }
+                Ok(n.len()
+                    .checked_mul(mu.len())
+                    .and_then(|c| c.checked_mul(lambda.len())))
+            }
+        }
+    }
+
     /// Builds the [`SweepSpec`] this submit describes, validating every
     /// parameter range first — the underlying constructors
     /// ([`AsyncParams::symmetric`], [`SweepSpec::new`]) treat violations
@@ -227,28 +281,12 @@ impl SubmitRequest {
                 lines,
                 dist,
             } => {
-                if n.is_empty() || mu.is_empty() || lambda.is_empty() {
-                    return Err("async_grid: `n`, `mu`, `lambda` must be non-empty".into());
-                }
-                if let Some(&bad) = n.iter().find(|&&x| x < 2) {
-                    return Err(format!("async_grid: every n must be ≥ 2, got {bad}"));
-                }
-                if let Some(&bad) = mu.iter().find(|&&x| !(x.is_finite() && x > 0.0)) {
-                    return Err(format!(
-                        "async_grid: every mu must be finite and > 0, got {bad}"
-                    ));
-                }
-                if let Some(&bad) = lambda.iter().find(|&&x| !(x.is_finite() && x >= 0.0)) {
-                    return Err(format!(
-                        "async_grid: every lambda must be finite and ≥ 0, got {bad}"
-                    ));
-                }
-                if *lines == 0 {
-                    return Err("async_grid: `lines` must be ≥ 1".into());
-                }
+                let count = self
+                    .cell_count()?
+                    .ok_or("async_grid: the cell count overflows usize")?;
                 // Same id scheme and n-major order as AsyncGrid::cells,
                 // with the optional distribution folded in per cell.
-                let mut cells = Vec::with_capacity(n.len() * mu.len() * lambda.len());
+                let mut cells = Vec::with_capacity(count);
                 for &n in n {
                     for &mu in mu {
                         for &lambda in lambda {
@@ -512,6 +550,10 @@ mod tests {
         );
         assert!(err.contains("n must be ≥ 2"), "{err}");
         let err = build(
+            r#"{"op":"submit","name":"g","kind":"async_grid","n":[2,1000],"mu":[1],"lambda":[1],"lines":10}"#,
+        );
+        assert!(err.contains("≤ 24 (FlagChainOp::MAX_N), got 1000"), "{err}");
+        let err = build(
             r#"{"op":"submit","name":"g","kind":"async_grid","n":[2],"mu":[0],"lambda":[1],"lines":10}"#,
         );
         assert!(err.contains("mu"), "{err}");
@@ -523,6 +565,59 @@ mod tests {
             r#"{"op":"submit","name":"g","kind":"async_grid","n":[2],"mu":[1],"lambda":[1],"lines":0}"#,
         );
         assert!(err.contains("lines"), "{err}");
+    }
+
+    #[test]
+    fn oversized_n_is_refused_before_any_allocation() {
+        // n(n−1)/2 λ values per cell: n = 100000 would ask
+        // AsyncParams::symmetric for ≈ 40 GB, and 1e300 saturates the
+        // usize cast. Both name the operator cap instead.
+        for n in ["100000", "1e300", "25"] {
+            let Request::Submit(sub) = Request::parse(&format!(
+                r#"{{"op":"submit","name":"g","kind":"async_grid","n":[{n}],"mu":[1],"lambda":[1],"lines":10}}"#
+            ))
+            .unwrap() else {
+                panic!("expected submit")
+            };
+            let err = sub.cell_count().unwrap_err();
+            assert!(err.contains("FlagChainOp::MAX_N"), "n = {n}: {err}");
+            assert_eq!(sub.build_spec().err(), Some(err));
+        }
+    }
+
+    #[test]
+    fn cell_count_matches_the_built_spec_and_never_overflows() {
+        let Request::Submit(sub) = Request::parse(
+            r#"{"op":"submit","name":"g","kind":"async_grid","n":[2,3,24],"mu":[1,2],"lambda":[0,0.5],"lines":5}"#,
+        )
+        .unwrap() else {
+            panic!("expected submit")
+        };
+        assert_eq!(sub.cell_count(), Ok(Some(12)));
+        assert_eq!(sub.build_spec().unwrap().cells.len(), 12);
+        let conformance = SubmitRequest {
+            name: "c".into(),
+            seed: 1,
+            kind: SubmitKind::Conformance { quick: true },
+        };
+        assert_eq!(
+            conformance.cell_count(),
+            Ok(Some(conformance.build_spec().unwrap().cells.len()))
+        );
+        // A product past usize::MAX is `None`, not a wrapped count.
+        let huge = SubmitRequest {
+            name: "h".into(),
+            seed: 1,
+            kind: SubmitKind::AsyncGrid {
+                n: vec![2; 1 << 22],
+                mu: vec![1.0; 1 << 21],
+                lambda: vec![1.0; 1 << 21],
+                lines: 1,
+                dist: None,
+            },
+        };
+        assert_eq!(huge.cell_count(), Ok(None));
+        assert!(huge.build_spec().err().unwrap().contains("overflows"));
     }
 
     #[test]

@@ -27,9 +27,12 @@
 //! Degradation ladder (every refusal is an explicit response, never a
 //! dropped connection):
 //!
-//! 1. malformed line → `{"ok": false, "error": …}`, connection stays up;
+//! 1. malformed line → `{"ok": false, "error": …}`, connection stays up
+//!    — except a line longer than [`MAX_LINE_BYTES`], which gets one
+//!    such error naming the limit and then the connection is closed;
 //! 2. oversized submit (more than [`ServerConfig::max_cells`] cells) →
-//!    `shed`;
+//!    `shed`, decided on the validated cell count before any cell is
+//!    built;
 //! 3. queue full ([`ServerConfig::queue_capacity`] jobs waiting) →
 //!    `shed` — the client retries later, the server never buffers
 //!    unboundedly;
@@ -64,6 +67,7 @@ use serde::{Serialize, Value};
 
 use crate::protocol::{
     accepted_line, cell_line, done_line, error_line, obj, render, shed_line, Request,
+    MAX_LINE_BYTES,
 };
 
 /// Server construction parameters.
@@ -540,7 +544,9 @@ fn send_line(out: &mut TcpStream, line: &str) -> bool {
 /// A line reader over a read-timeout socket that doubles as the idle
 /// reaper: each timed-out read checks how long the connection has gone
 /// without delivering a byte, and past [`ServerConfig::idle_timeout`]
-/// the reader reports end-of-stream so the handler closes it.
+/// the reader reports end-of-stream so the handler closes it. Its
+/// buffer never holds more than one [`MAX_LINE_BYTES`] line plus one
+/// read chunk.
 struct LineReader {
     stream: TcpStream,
     buf: Vec<u8>,
@@ -556,16 +562,23 @@ impl LineReader {
         }
     }
 
-    /// The next complete line (without the newline), or `None` on EOF,
-    /// error, or idle reap.
-    fn next_line(&mut self) -> Option<String> {
+    /// The next complete line (without the newline), `Some(Err(_))`
+    /// naming the limit when the line outgrows [`MAX_LINE_BYTES`], or
+    /// `None` on EOF, error, or idle reap.
+    fn next_line(&mut self) -> Option<Result<String, String>> {
         let mut last_byte = Instant::now();
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
+            let window = &self.buf[..self.buf.len().min(MAX_LINE_BYTES + 1)];
+            if let Some(pos) = window.iter().position(|&b| b == b'\n') {
                 let rest = self.buf.split_off(pos + 1);
                 let mut line = std::mem::replace(&mut self.buf, rest);
                 line.pop(); // the newline
-                return Some(String::from_utf8_lossy(&line).into_owned());
+                return Some(Ok(String::from_utf8_lossy(&line).into_owned()));
+            }
+            if self.buf.len() > MAX_LINE_BYTES {
+                return Some(Err(format!(
+                    "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+                )));
             }
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {
@@ -598,7 +611,15 @@ fn handle_conn(shared: &Arc<Shared>, jobs: &Sender<Job>, stream: TcpStream) {
     };
     let mut out = stream;
     let c = &shared.counters;
-    while let Some(line) = reader.next_line() {
+    while let Some(next) = reader.next_line() {
+        let line = match next {
+            Ok(line) => line,
+            Err(too_long) => {
+                c.req_malformed.fetch_add(1, Ordering::Relaxed);
+                send_line(&mut out, &error_line(&too_long));
+                return;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -707,24 +728,31 @@ fn handle_submit(
         c.shed.fetch_add(1, Ordering::Relaxed);
         return send_line(out, &shed_line("server is draining; resubmit elsewhere"));
     }
-    let spec = match sub.build_spec() {
-        Ok(s) => s,
-        Err(e) => {
-            c.req_malformed.fetch_add(1, Ordering::Relaxed);
-            return send_line(out, &error_line(&e));
-        }
+    let invalid = |out: &mut TcpStream, e: String| {
+        c.req_malformed.fetch_add(1, Ordering::Relaxed);
+        send_line(out, &error_line(&e))
     };
-    if spec.cells.len() > shared.cfg.max_cells {
+    // Validate and count first: an oversized grid is shed before a
+    // single one of its cells is allocated.
+    let count = match sub.cell_count() {
+        Ok(count) => count,
+        Err(e) => return invalid(out, e),
+    };
+    let max = shared.cfg.max_cells;
+    if count.is_none_or(|n| n > max) {
         c.shed.fetch_add(1, Ordering::Relaxed);
+        let count = count.map_or_else(|| format!("more than {}", usize::MAX), |n| n.to_string());
         return send_line(
             out,
             &shed_line(&format!(
-                "sweep has {} cells; this server accepts at most {}",
-                spec.cells.len(),
-                shared.cfg.max_cells
+                "sweep has {count} cells; this server accepts at most {max}"
             )),
         );
     }
+    let spec = match sub.build_spec() {
+        Ok(s) => s,
+        Err(e) => return invalid(out, e),
+    };
     // Bounded admission: claim a queue slot or shed. Between here and
     // a successful enqueue the slot lives in a guard, so every shed or
     // error return releases it — a leaked slot would permanently

@@ -9,6 +9,7 @@ use std::path::PathBuf;
 
 use std::time::Duration;
 
+use rbserve::protocol::MAX_LINE_BYTES;
 use rbserve::{spawn, ChaosConfig, ServerConfig};
 use serde::Value;
 
@@ -756,6 +757,65 @@ fn idle_connections_are_reaped_but_the_server_keeps_serving() {
     );
 
     // The server survived the reap and still serves fresh connections.
+    let mut client = Client::connect(handle.addr());
+    let status = client.request(r#"{"op":"status"}"#);
+    assert!(is_ok(&status), "{status:?}");
+
+    client.send(r#"{"op":"shutdown"}"#);
+    drop(client);
+    handle.join();
+}
+
+#[test]
+fn grid_past_2_pow_40_cells_is_shed_before_it_is_built() {
+    // (2¹⁴+1)·2¹³·2¹³ cells from a ~65 KB line: building them would ask
+    // for a multi-terabyte Vec. The server counts first and sheds.
+    let handle = spawn(test_config(1)).expect("spawn");
+    let mut client = Client::connect(handle.addr());
+    let list = |value: &str, len: usize| vec![value; len].join(",");
+    let submit = format!(
+        r#"{{"op":"submit","name":"huge","kind":"async_grid","n":[{}],"mu":[{}],"lambda":[{}],"lines":10}}"#,
+        list("2", (1 << 14) + 1),
+        list("1", 1 << 13),
+        list("1", 1 << 13),
+    );
+    let resp = client.request(&submit);
+    assert_eq!(get_str(&resp, "event"), "shed", "{resp:?}");
+    let error = get_str(&resp, "error");
+    assert!(
+        error.contains(&((1u64 << 40) + (1 << 26)).to_string()) && error.contains("at most 256"),
+        "{error}"
+    );
+
+    // Same connection, still serving.
+    let status = client.request(r#"{"op":"status"}"#);
+    assert!(is_ok(&status), "{status:?}");
+
+    client.send(r#"{"op":"shutdown"}"#);
+    drop(client);
+    handle.join();
+}
+
+#[test]
+fn overlong_line_gets_one_error_then_the_connection_closes() {
+    let handle = spawn(test_config(1)).expect("spawn");
+
+    // One byte past the limit and no newline: the server reads it all,
+    // answers once naming the limit, then closes this connection.
+    let mut client = Client::connect(handle.addr());
+    client
+        .writer
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("send");
+    let resp = client.recv();
+    assert!(!is_ok(&resp));
+    let error = get_str(&resp, "error");
+    assert!(error.contains(&MAX_LINE_BYTES.to_string()), "{error}");
+    let mut rest = String::new();
+    let n = client.reader.read_line(&mut rest).expect("read until EOF");
+    assert_eq!(n, 0, "connection must close after the error, got: {rest}");
+
+    // The server keeps serving fresh connections.
     let mut client = Client::connect(handle.addr());
     let status = client.request(r#"{"op":"status"}"#);
     assert!(is_ok(&status), "{status:?}");

@@ -191,8 +191,8 @@ impl SchemeConformance {
         let params = sc.params();
         let mut checks = Vec::new();
 
-        // Path A: full-chain CTMC absorption solve (dense LU or sparse
-        // Gauss–Seidel).
+        // Path A: full-chain CTMC absorption solve (dense LU or
+        // matrix-free BiCGSTAB).
         let ex_ctmc = params.mean_interval();
 
         // Path B: embedded discrete chain with state splitting — an
@@ -232,9 +232,9 @@ impl SchemeConformance {
         }
 
         // Path D′: the matrix-free Krylov backend, *forced* at every
-        // size (auto dispatch only reaches it at n ≥ 14). The operator
+        // size (auto dispatch only reaches it at n ≥ 11). The operator
         // regenerated from the R1–R4 bit-mask rules must land on the
-        // same E[X] as whichever materialised backend the size picks —
+        // same E[X] as whichever backend the size picks —
         // this wires the large-n solver into the whole matrix, so a
         // perf-motivated change to the operator or the preconditioner
         // trips the conformance gate, not just the scaling benches.
@@ -402,7 +402,6 @@ impl SchemeConformance {
         let params = sc.params();
         let label = match strategy {
             SolverStrategy::Dense => "dense",
-            SolverStrategy::GaussSeidel => "gauss-seidel",
             SolverStrategy::MatrixFree => "matrix-free",
         };
         let stats = AsyncScheme::new(AsyncConfig::new(params.clone()), sc.seed)
