@@ -40,10 +40,10 @@ fn bench_sweep(c: &mut Criterion) {
     assert_eq!(spec.run(1).to_json(), spec.run(threads).to_json());
 }
 
-fn bench_tiny_cell_batching(c: &mut Criterion) {
+fn bench_tiny_cells(c: &mut Criterion) {
     // 4096 cells of a few hundred nanoseconds each: the regime where
     // per-cell dispatch overhead (cursor claims, bookkeeping) is
-    // comparable to the work itself, and `run_batched` earns its keep.
+    // comparable to the work itself.
     use rbbench::sweep::{Metric, SweepCell, Workload};
     struct TinyCell {
         k: u64,
@@ -73,17 +73,12 @@ fn bench_tiny_cell_batching(c: &mut Criterion) {
     let threads = available_threads();
     let mut g = c.benchmark_group("scenario_sweep/4096_tiny_cells");
     g.throughput(Throughput::Elements(4096));
-    for min_batch in [1usize, 64] {
-        g.bench_function(format!("batch{min_batch}/{threads}_threads"), |b| {
-            b.iter(|| black_box(spec.run_batched(threads, min_batch)))
-        });
-    }
+    g.bench_function(format!("parallel/{threads}_threads"), |b| {
+        b.iter(|| black_box(spec.run(threads)))
+    });
     g.finish();
-    assert_eq!(
-        spec.run(1).to_json(),
-        spec.run_batched(threads, 64).to_json()
-    );
+    assert_eq!(spec.run(1).to_json(), spec.run(threads).to_json());
 }
 
-criterion_group!(benches, bench_sweep, bench_tiny_cell_batching);
+criterion_group!(benches, bench_sweep, bench_tiny_cells);
 criterion_main!(benches);

@@ -48,7 +48,7 @@
 use rbcore::workload::AsyncIntervals;
 use rbmarkov::paper::AsyncParams;
 use rbsim::derive_seed;
-use rbsim::par::{available_threads, par_map_batched};
+use rbsim::par::{available_threads, par_map};
 use rbtestutil::{standard_matrix, ConformanceWorkload, SchemeConformance};
 use serde::Serialize;
 
@@ -309,26 +309,8 @@ impl SweepSpec {
     /// reassembled in grid order, so any `threads` value produces the
     /// same report — byte-identical once serialized.
     pub fn run(&self, threads: usize) -> SweepReport {
-        self.run_batched(threads, 1)
-    }
-
-    /// [`SweepSpec::run`] with a minimum number of cells per worker
-    /// dispatch ([`rbsim::par::par_map_batched`]).
-    ///
-    /// Sweeps whose cells are *individually tiny* — closed-form
-    /// evaluations, small lumped-chain solves — pay more for the
-    /// per-pull dispatch (an atomic claim plus loop bookkeeping) than
-    /// for the cells themselves; batching amortises that cost over
-    /// `min_batch` cells at a time. Batching is invisible in the
-    /// report: per-cell seeds still derive from `(master_seed, index)`
-    /// alone and results are reassembled in grid order, so
-    /// `run_batched(k, b)` is byte-identical to `run(1)` for every
-    /// `(k, b)` — pinned by `tests/sweep_determinism.rs`. Keep
-    /// `min_batch = 1` for sweeps with expensive cells: a batch is the
-    /// unit of work stealing.
-    pub fn run_batched(&self, threads: usize, min_batch: usize) -> SweepReport {
         let master = self.master_seed;
-        let cells = par_map_batched(&self.cells, threads, min_batch, |idx, cell: &SweepCell| {
+        let cells = par_map(&self.cells, threads, |idx, cell: &SweepCell| {
             cell.run(derive_seed(master, cell.seed_index.unwrap_or(idx as u64)))
         });
         SweepReport {
@@ -377,7 +359,7 @@ impl SweepSpec {
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
         };
         let master = self.master_seed;
-        let cells = par_map_batched(&self.cells, threads, 1, |idx, cell: &SweepCell| {
+        let cells = par_map(&self.cells, threads, |idx, cell: &SweepCell| {
             let seed = derive_seed(master, cell.seed_index.unwrap_or(idx as u64));
             let Some(key) = crate::cache::cell_key(cell, seed) else {
                 uncacheable.fetch_add(1, Ordering::Relaxed);

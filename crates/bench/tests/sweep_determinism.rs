@@ -67,11 +67,11 @@ fn conformance_matrix_sweep_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn batched_runs_are_byte_identical_to_serial() {
+fn tiny_cell_runs_are_byte_identical_to_serial() {
     let _serial = serial_guard();
-    // A many-tiny-cells sweep — the shape `run_batched` exists for.
-    // Every (threads, min_batch) combination must reproduce the serial
-    // bytes exactly: batching only changes how indices are claimed,
+    // A many-tiny-cells sweep, where each cursor pull claims a chunk
+    // of several cells. Every thread count must reproduce the serial
+    // bytes exactly: chunking only changes how indices are claimed,
     // never what any index computes.
     use rbbench::sweep::{Metric, Workload};
     struct TinyCell {
@@ -98,13 +98,11 @@ fn batched_runs_are_byte_identical_to_serial() {
     );
     let serial = spec.run(1).to_json();
     for threads in [2, 4, 8] {
-        for min_batch in [1, 8, 64, 1000] {
-            assert_eq!(
-                serial,
-                spec.run_batched(threads, min_batch).to_json(),
-                "threads={threads} min_batch={min_batch} diverged from serial"
-            );
-        }
+        assert_eq!(
+            serial,
+            spec.run(threads).to_json(),
+            "threads={threads} diverged from serial"
+        );
     }
 }
 

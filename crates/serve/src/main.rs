@@ -12,9 +12,9 @@
 //!
 //! Prints `rbserve: listening on <addr>` once bound (with the real
 //! port when `--addr` asked for port 0), then serves until a client
-//! sends `shutdown` and the queue drains.
+//! sends `shutdown` and every admitted job has finished.
 //!
-//! The `--chaos-*` flags arm deterministic fault injection into solver
+//! The `--chaos-*` flags arm deterministic fault injection into solve
 //! attempts (seeded — the same flags replay the same faults); any one
 //! of them enables the schedule. They exist for chaos testing and
 //! demos, never production serving.
@@ -33,22 +33,22 @@ const USAGE: &str =
                [--chaos-hang-ms N] [--chaos-every-attempt]
 
   --addr HOST:PORT   bind address (default 127.0.0.1:0; port 0 picks a free port)
-  --workers N        worker threads solving sweeps (default: hardware threads)
-  --queue N          submitted jobs that may wait before submits shed (default 16)
+  --workers N        jobs that may run at once; 0 queues but never runs (default: hardware threads)
+  --queue N          admitted jobs that may wait to run before submits shed (default 16)
   --max-cells N      largest accepted sweep, in cells (default 4096)
   --cache DIR        persist solved cells to DIR/results.wal and serve repeats from it
   --compact-every N  compact the cache WAL (drop duplicate frames) after every N inserts
   --hot-cap N        decoded reports kept in the in-memory hot tier; 0 disables (default 1024)
 
-  --cell-timeout-ms N   per-cell deadline before the solver is presumed hung (default 120000)
-  --cell-retries N      retries on a fresh solver before the job aborts (default 2)
+  --cell-timeout-ms N   per-attempt deadline before the attempt is presumed hung (default 120000)
+  --cell-retries N      retries, each on a fresh thread, before the job aborts (default 2)
   --io-timeout-ms N     socket read/write timeout on connections (default 10000)
   --idle-timeout-ms N   close connections idle this long (default 600000)
 
   --chaos-seed N           seed for the deterministic fault schedule (default 0)
-  --chaos-panic N          per-mille of solver attempts that panic (default 0)
-  --chaos-hang N           per-mille of solver attempts that hang first (default 0)
-  --chaos-garble N         per-mille of solver attempts returning a garbled report (default 0)
+  --chaos-panic N          per-mille of solve attempts that panic (default 0)
+  --chaos-hang N           per-mille of solve attempts that hang first (default 0)
+  --chaos-garble N         per-mille of solve attempts returning a garbled report (default 0)
   --chaos-hang-ms N        how long a hang fault sleeps (default 50)
   --chaos-every-attempt    inject on retries too, not just the primary attempt
 ";

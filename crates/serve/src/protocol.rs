@@ -32,9 +32,10 @@
 //! rendered back to the client as `{"ok": false, "error": …}`. In
 //! particular [`SubmitRequest::build_spec`] pre-validates parameter
 //! ranges (2 ≤ n ≤ [`FlagChainOp::MAX_N`], μ > 0, λ ≥ 0, finite
-//! bounds) before touching constructors that panic on contract
-//! violations or allocate in proportion to n². A request line longer
-//! than [`MAX_LINE_BYTES`] is refused before it is parsed at all.
+//! bounds) and distinct grid values before touching constructors that
+//! panic on contract violations or allocate in proportion to n². A
+//! request line longer than [`MAX_LINE_BYTES`] is refused before it is
+//! parsed at all.
 
 use rbbench::sweep::{CellReport, SweepSpec};
 use rbcore::workload::{AsyncIntervals, DistSpec};
@@ -256,7 +257,8 @@ impl SubmitRequest {
     }
 
     /// Builds the [`SweepSpec`] this submit describes, validating every
-    /// parameter range first — the underlying constructors
+    /// parameter range first and refusing a repeated grid value (hence
+    /// a repeated cell id) — the underlying constructors
     /// ([`AsyncParams::symmetric`], [`SweepSpec::new`]) treat violations
     /// as programmer error and panic, and a network request must never
     /// reach them invalid.
@@ -301,6 +303,15 @@ impl SubmitRequest {
                             ));
                         }
                     }
+                }
+                // A repeated grid value repeats a cell id, which
+                // `SweepSpec::new` asserts against: refuse it here.
+                let mut seen = std::collections::HashSet::with_capacity(cells.len());
+                if let Some(dup) = cells.iter().find(|c| !seen.insert(c.id.as_str())) {
+                    return Err(format!(
+                        "async_grid: cell id `{}` repeats; grid values must be distinct",
+                        dup.id
+                    ));
                 }
                 Ok(SweepSpec::new(self.name.clone(), self.seed, cells))
             }
@@ -618,6 +629,27 @@ mod tests {
         };
         assert_eq!(huge.cell_count(), Ok(None));
         assert!(huge.build_spec().err().unwrap().contains("overflows"));
+    }
+
+    #[test]
+    fn repeated_grid_values_are_an_error_naming_the_cell_not_a_panic() {
+        for (body, id) in [
+            (r#""n":[2],"mu":[1,1],"lambda":[0.5]"#, "n2/mu1/lam0.5"),
+            (r#""n":[3,2,3],"mu":[1],"lambda":[0.5]"#, "n3/mu1/lam0.5"),
+            (r#""n":[2],"mu":[1],"lambda":[0.5,1,0.50]"#, "n2/mu1/lam0.5"),
+        ] {
+            let line =
+                format!(r#"{{"op":"submit","name":"d","kind":"async_grid",{body},"lines":5}}"#);
+            let Request::Submit(sub) = Request::parse(&line).unwrap() else {
+                panic!("expected submit")
+            };
+            assert!(
+                sub.cell_count().unwrap().is_some(),
+                "counting is unaffected"
+            );
+            let err = sub.build_spec().err().expect("repeated value refused");
+            assert!(err.contains(&format!("`{id}` repeats")), "{err}");
+        }
     }
 
     #[test]

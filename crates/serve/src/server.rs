@@ -1,28 +1,28 @@
-//! The rbserve server: accept loop, connection handlers, worker pool,
-//! and the shared state they coordinate through.
+//! The rbserve server: accept loop, connection handlers, and the
+//! shared state they coordinate through.
 //!
 //! Threading model (all `std::net` + the in-repo crossbeam channel
-//! shim — no async runtime):
+//! shim — no async runtime, no thread pool):
 //!
 //! * one **accept thread** owns the listener (non-blocking, so it can
 //!   poll the drain condition between accepts);
-//! * one **handler thread** per connection reads request lines and
-//!   writes response lines; a `submit` streams its job's event channel
-//!   until the worker drops the sending half. Sockets carry read/write
-//!   timeouts ([`ServerConfig::io_timeout`]) and an idle reaper
-//!   ([`ServerConfig::idle_timeout`]) so a stalled client can't pin a
-//!   handler thread forever;
-//! * `workers` **worker threads** pull jobs off a shared channel and
-//!   supervise cells sequentially, consulting the result cache before
-//!   each solve;
-//! * `workers` **solver threads** actually execute cells, dispatched
-//!   one at a time by the supervising worker. Each solve is a
-//!   *recovery block*: primary attempt on a solver, acceptance test on
-//!   the result (id/seed binding + codec round-trip), and on a panic,
-//!   hang (deadline [`ServerConfig::cell_timeout`]), or acceptance
-//!   failure, a bounded retry ([`ServerConfig::max_cell_retries`]) on
-//!   a **fresh** solver thread — the recovery-blocks server practicing
-//!   recovery blocks on itself.
+//! * one **handler thread** per connection reads request lines, writes
+//!   response lines, and runs the jobs it admits itself: a `submit`
+//!   holds one of [`ServerConfig::workers`] run permits while the
+//!   handler supervises its cells in order, consulting the result cache
+//!   before each solve and writing each event as it happens. Sockets
+//!   carry read/write timeouts ([`ServerConfig::io_timeout`]) and an
+//!   idle reaper ([`ServerConfig::idle_timeout`]) so a stalled client
+//!   can't pin a handler thread forever;
+//! * each solve **attempt** runs on a fresh thread that exits when the
+//!   attempt ends. Each solve is a *recovery block*: primary attempt,
+//!   acceptance test on the result (id/seed binding + codec
+//!   round-trip), and on a panic, hang (deadline
+//!   [`ServerConfig::cell_timeout`]), or acceptance failure, a bounded
+//!   retry ([`ServerConfig::max_cell_retries`]) on another fresh thread
+//!   — the recovery-blocks server practicing recovery blocks on itself.
+//!   A hung attempt is abandoned, not killed: its late reply lands on a
+//!   dropped receiver and its thread exits when it finishes.
 //!
 //! Degradation ladder (every refusal is an explicit response, never a
 //! dropped connection):
@@ -33,17 +33,23 @@
 //! 2. oversized submit (more than [`ServerConfig::max_cells`] cells) →
 //!    `shed`, decided on the validated cell count before any cell is
 //!    built;
-//! 3. queue full ([`ServerConfig::queue_capacity`] jobs waiting) →
-//!    `shed` — the client retries later, the server never buffers
-//!    unboundedly;
-//! 4. draining (after `shutdown`) → `shed` for new submits while queued
-//!    work finishes;
-//! 5. a cell that exhausts its retries → the job aborts with an
+//! 3. invalid grid (a repeated value, hence a repeated cell id) → the
+//!    same `ok: false` error as a malformed line;
+//! 4. queue full ([`ServerConfig::queue_capacity`] admitted jobs
+//!    waiting for a run permit) → `shed` — the client retries later,
+//!    the server never buffers unboundedly;
+//! 5. draining (after `shutdown`) → `shed` for new submits while
+//!    admitted work finishes;
+//! 6. a cell that exhausts its retries → the job aborts with an
 //!    `ok: false` done-event naming the cell and the last failure —
 //!    the documented refusal, never a silently wrong report.
 //!
+//! A client that disconnects mid-job does not cancel it: the handler
+//! stops writing after the first failed write but finishes the job, so
+//! the cache is still warmed.
+//!
 //! [`ChaosConfig`] injects deterministic faults (panic, hang, garbled
-//! report) into solver attempts from a seeded schedule, so the whole
+//! report) into solve attempts from a seeded schedule, so the whole
 //! recovery path above is exercised by sweeps over fault schedules
 //! rather than trusted on inspection.
 
@@ -76,19 +82,20 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (the bound address is on
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker threads solving sweeps. `0` is permitted (nothing is
-    /// ever dequeued — useful for exercising backpressure
-    /// deterministically in tests).
+    /// Jobs that may run at once; `0` queues but never runs (useful for
+    /// exercising backpressure deterministically in tests).
     pub workers: usize,
-    /// Jobs that may wait in the queue before submits are shed.
+    /// Admitted jobs that may wait for a run permit before submits are
+    /// shed.
     pub queue_capacity: usize,
     /// Largest accepted sweep, in cells; bigger submits are shed.
     pub max_cells: usize,
     /// Result-cache directory; `None` disables caching (every cell
     /// solves).
     pub cache_dir: Option<PathBuf>,
-    /// Per-cell deadline: a solver that hasn't reported by then is
-    /// presumed hung, a replacement is spawned, and the cell retries.
+    /// Per-attempt deadline: an attempt that hasn't reported by then is
+    /// presumed hung and abandoned, and the cell retries on a fresh
+    /// thread.
     pub cell_timeout: Duration,
     /// Retries after the primary attempt before the job aborts with a
     /// named refusal (so a cell runs at most `1 + max_cell_retries`
@@ -101,7 +108,7 @@ pub struct ServerConfig {
     /// Idle-connection reaper: a connection with no complete request
     /// for this long is closed (frees the handler thread).
     pub idle_timeout: Duration,
-    /// Deterministic fault injection into solver attempts; `None` (the
+    /// Deterministic fault injection into solve attempts; `None` (the
     /// default) injects nothing.
     pub chaos: Option<ChaosConfig>,
     /// Compact the result cache (rewrite its WAL dropping benign
@@ -133,7 +140,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// A seeded, deterministic fault schedule for solver attempts: which
+/// A seeded, deterministic fault schedule for solve attempts: which
 /// attempts fault, and how, is a pure function of
 /// `(seed, cell seed, attempt)` — re-running the same configuration
 /// injects the same faults, so chaos runs are reproducible and
@@ -172,10 +179,10 @@ impl Default for ChaosConfig {
     }
 }
 
-/// What a chaos schedule makes one solver attempt do.
+/// What a chaos schedule makes one solve attempt do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum InjectedFault {
-    /// Panic mid-solve (the solver thread dies; a fresh one replaces it).
+    /// Panic mid-solve (the attempt fails; the retry runs on a fresh thread).
     Panic,
     /// Sleep [`ChaosConfig::hang_ms`] before solving.
     Hang,
@@ -248,20 +255,20 @@ pub struct Counters {
     pub cells_solved: AtomicU64,
     /// Sweeps finished (including aborted ones).
     pub jobs_done: AtomicU64,
-    /// Gauge: jobs accepted but not yet picked up by a worker.
+    /// Gauge: jobs accepted but still waiting for a run permit.
     pub queue_depth: AtomicU64,
-    /// Gauge: jobs currently being executed by workers.
+    /// Gauge: jobs currently holding a run permit.
     pub jobs_running: AtomicU64,
     /// Gauge: cells currently inside `Workload::run`.
     pub in_flight_solves: AtomicU64,
-    /// Chaos faults injected into solver attempts.
+    /// Chaos faults injected into solve attempts.
     pub faults_injected: AtomicU64,
     /// Cell attempts retried (after a panic, timeout, or acceptance
     /// failure).
     pub cell_retries: AtomicU64,
     /// Cell attempts that overran [`ServerConfig::cell_timeout`].
     pub cells_timed_out: AtomicU64,
-    /// Replacement solver threads spawned (after a panic or timeout).
+    /// Solve attempts lost to a panic, a deadline, or a dropped reply.
     pub workers_restarted: AtomicU64,
 }
 
@@ -304,31 +311,6 @@ impl Counters {
     }
 }
 
-/// One queued sweep: the spec plus the channel its progress streams
-/// through. The handler keeps the receiving half; the worker drops the
-/// sender when the job ends, terminating the stream. The spec is
-/// `Arc`-shared because solver threads borrow cells from it while the
-/// supervising worker holds the job.
-struct Job {
-    spec: Arc<SweepSpec>,
-    events: Sender<String>,
-}
-
-/// One cell dispatched to a solver thread. The supervisor waits on
-/// `reply` with a deadline; a reply to a supervisor that already gave
-/// up (timed out, retried elsewhere) lands on a dropped receiver and
-/// is discarded.
-struct CellTask {
-    spec: Arc<SweepSpec>,
-    idx: usize,
-    seed: u64,
-    fault: Option<InjectedFault>,
-    hang_ms: u64,
-    /// `Ok(report)` from a completed solve; `Err(message)` when the
-    /// attempt panicked (the solver thread dies after sending this).
-    reply: Sender<Result<CellReport, String>>,
-}
-
 /// State shared by every thread of one server.
 struct Shared {
     cfg: ServerConfig,
@@ -341,11 +323,11 @@ struct Shared {
     /// duplicate solve, and are woken when the claim resolves.
     pending: Mutex<HashMap<Vec<u8>, Vec<Sender<()>>>>,
     finished: Mutex<HashMap<String, SweepReport>>,
-    /// Cell dispatch channel into the solver pool. Both halves live
-    /// here so the supervisor can spawn replacement solvers after a
-    /// panic or timeout.
-    solver_tx: Sender<CellTask>,
-    solver_rx: Receiver<CellTask>,
+    /// Run permits: pre-loaded with [`ServerConfig::workers`] tokens.
+    /// Both halves live here, so taking a permit blocks until one is
+    /// returned and never fails as disconnected.
+    permit_tx: Sender<()>,
+    permit_rx: Receiver<()>,
 }
 
 impl Shared {
@@ -427,7 +409,7 @@ impl ServerHandle {
     }
 
     /// Blocks until the server drains: a `shutdown` request was seen
-    /// and all queued and running jobs finished.
+    /// and all admitted jobs finished.
     pub fn join(self) {
         let _ = self.accept.join();
     }
@@ -440,9 +422,9 @@ impl ServerHandle {
     }
 }
 
-/// Binds the listener, spawns the worker pool and accept thread, and
-/// returns immediately. Fails only on bind/cache-open errors — after
-/// `Ok`, every failure is reported over the wire.
+/// Binds the listener, spawns the accept thread, and returns
+/// immediately. Fails only on bind/cache-open errors — after `Ok`,
+/// every failure is reported over the wire.
 pub fn spawn(cfg: ServerConfig) -> Result<ServerHandle, String> {
     let cache = match &cfg.cache_dir {
         None => None,
@@ -460,7 +442,10 @@ pub fn spawn(cfg: ServerConfig) -> Result<ServerHandle, String> {
         .set_nonblocking(true)
         .map_err(|e| format!("set_nonblocking: {e}"))?;
 
-    let (solver_tx, solver_rx) = unbounded::<CellTask>();
+    let (permit_tx, permit_rx) = unbounded::<()>();
+    for _ in 0..cfg.workers {
+        let _ = permit_tx.send(());
+    }
     let shared = Arc::new(Shared {
         counters: Counters::default(),
         draining: AtomicBool::new(false),
@@ -468,24 +453,12 @@ pub fn spawn(cfg: ServerConfig) -> Result<ServerHandle, String> {
         pending: Mutex::new(HashMap::new()),
         finished: Mutex::new(HashMap::new()),
         cfg,
-        solver_tx,
-        solver_rx,
+        permit_tx,
+        permit_rx,
     });
 
-    let (jobs_tx, jobs_rx) = unbounded::<Job>();
-    for _ in 0..shared.cfg.workers {
-        spawn_solver(&shared);
-        let shared = Arc::clone(&shared);
-        let rx = jobs_rx.clone();
-        std::thread::spawn(move || worker_loop(&shared, &rx));
-    }
-
     let accept_shared = Arc::clone(&shared);
-    // The accept thread keeps one receiver alive so submits still
-    // *queue* with zero workers (deterministic-backpressure tests)
-    // instead of failing as disconnected.
-    let accept =
-        std::thread::spawn(move || accept_loop(&accept_shared, &listener, jobs_tx, jobs_rx));
+    let accept = std::thread::spawn(move || accept_loop(&accept_shared, &listener));
 
     Ok(ServerHandle {
         addr,
@@ -494,12 +467,7 @@ pub fn spawn(cfg: ServerConfig) -> Result<ServerHandle, String> {
     })
 }
 
-fn accept_loop(
-    shared: &Arc<Shared>,
-    listener: &TcpListener,
-    jobs: Sender<Job>,
-    _jobs_alive: Receiver<Job>,
-) {
+fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -515,8 +483,7 @@ fn accept_loop(
                     continue;
                 }
                 let shared = Arc::clone(shared);
-                let jobs = jobs.clone();
-                std::thread::spawn(move || handle_conn(&shared, &jobs, stream));
+                std::thread::spawn(move || handle_conn(&shared, stream));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 let c = &shared.counters;
@@ -604,7 +571,7 @@ impl LineReader {
     }
 }
 
-fn handle_conn(shared: &Arc<Shared>, jobs: &Sender<Job>, stream: TcpStream) {
+fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let mut reader = match stream.try_clone() {
         Ok(s) => LineReader::new(s, shared.cfg.idle_timeout),
         Err(_) => return,
@@ -634,7 +601,7 @@ fn handle_conn(shared: &Arc<Shared>, jobs: &Sender<Job>, stream: TcpStream) {
             }
         };
         let keep_going = match request {
-            Request::Submit(sub) => handle_submit(shared, jobs, &mut out, sub),
+            Request::Submit(sub) => handle_submit(shared, &mut out, sub),
             Request::Status => {
                 c.req_status.fetch_add(1, Ordering::Relaxed);
                 send_line(&mut out, &status_line(shared))
@@ -674,14 +641,11 @@ fn handle_conn(shared: &Arc<Shared>, jobs: &Sender<Job>, stream: TcpStream) {
     }
 }
 
-/// A claimed queue slot. Dropping the guard releases the slot, so
-/// every early-return between claim and enqueue gives the capacity
-/// back instead of leaking it; a successful enqueue calls
-/// [`SlotGuard::transfer`], handing the slot to the worker (which
-/// releases it on pickup).
+/// A claimed queue slot, released when the guard drops — once the job
+/// holds a run permit, or on unwind — so a slot is never leaked (a
+/// leak would permanently shrink capacity).
 struct SlotGuard<'a> {
     counters: &'a Counters,
-    armed: bool,
 }
 
 impl SlotGuard<'_> {
@@ -693,32 +657,51 @@ impl SlotGuard<'_> {
                 (d < capacity).then_some(d + 1)
             })
             .ok()
-            .map(|_| SlotGuard {
-                counters,
-                armed: true,
-            })
-    }
-
-    /// Disarms the guard: the slot now belongs to the queued job and
-    /// `worker_loop` releases it on pickup.
-    fn transfer(mut self) {
-        self.armed = false;
+            .map(|_| SlotGuard { counters })
     }
 }
 
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        if self.armed {
-            self.counters.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.counters.queue_depth.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// Admission control + event streaming for one submit. Returns `false`
-/// when the connection is gone.
+/// One of the [`ServerConfig::workers`] run permits, held while a job
+/// runs. Dropping it — on return or on unwind — decrements
+/// `jobs/running` and hands the token back, so a panicking job cannot
+/// leak capacity.
+struct RunPermit<'a> {
+    shared: &'a Shared,
+}
+
+impl RunPermit<'_> {
+    /// Blocks until a permit is free (forever at zero workers). Counts
+    /// the job as running before returning, so a caller that then
+    /// releases its queue slot never shows the drain check an idle
+    /// server.
+    fn acquire(shared: &Shared) -> RunPermit<'_> {
+        // `Shared` owns the sender too, so this waits, never fails.
+        let _ = shared.permit_rx.recv();
+        shared.counters.jobs_running.fetch_add(1, Ordering::SeqCst);
+        RunPermit { shared }
+    }
+}
+
+impl Drop for RunPermit<'_> {
+    fn drop(&mut self) {
+        self.shared
+            .counters
+            .jobs_running
+            .fetch_sub(1, Ordering::SeqCst);
+        let _ = self.shared.permit_tx.send(());
+    }
+}
+
+/// Admission control, then the job itself, on the connection's own
+/// handler thread. Returns `false` when the connection is gone.
 fn handle_submit(
     shared: &Arc<Shared>,
-    jobs: &Sender<Job>,
     out: &mut TcpStream,
     sub: crate::protocol::SubmitRequest,
 ) -> bool {
@@ -750,13 +733,11 @@ fn handle_submit(
         );
     }
     let spec = match sub.build_spec() {
-        Ok(s) => s,
+        Ok(s) => Arc::new(s),
         Err(e) => return invalid(out, e),
     };
-    // Bounded admission: claim a queue slot or shed. Between here and
-    // a successful enqueue the slot lives in a guard, so every shed or
-    // error return releases it — a leaked slot would permanently
-    // shrink capacity.
+    // Bounded admission: claim a queue slot or shed. The slot is
+    // held until the job holds a run permit.
     let cap = shared.cfg.queue_capacity as u64;
     let Some(slot) = SlotGuard::claim(c, cap) else {
         c.shed.fetch_add(1, Ordering::Relaxed);
@@ -765,97 +746,71 @@ fn handle_submit(
             &shed_line(&format!("queue full ({cap} jobs waiting); retry later")),
         );
     };
-    let (events_tx, events_rx) = unbounded::<String>();
-    let name = spec.name.clone();
-    let cells = spec.cells.len();
-    if jobs
-        .send(Job {
-            spec: Arc::new(spec),
-            events: events_tx,
-        })
-        .is_err()
-    {
-        drop(slot);
-        c.shed.fetch_add(1, Ordering::Relaxed);
-        return send_line(out, &shed_line("server is shutting down"));
-    }
-    // The job is queued: the slot is the worker's to release on pickup.
-    slot.transfer();
-    if !send_line(out, &accepted_line(&name, cells)) {
-        // Client gone already; the worker still runs the job (warming
-        // the cache) and its sends harmlessly fill the orphaned queue.
-        return false;
-    }
-    // Stream until the worker drops the sender.
-    for event in events_rx.iter() {
-        if !send_line(out, &event) {
-            return false;
-        }
-    }
-    true
+    // A client gone already does not cancel the job: it still runs,
+    // warming the cache, with nothing left to write to.
+    let connected = send_line(out, &accepted_line(&spec.name, spec.cells.len()));
+    let permit = RunPermit::acquire(shared);
+    drop(slot);
+    let connected = run_job(shared, &spec, out, connected);
+    drop(permit);
+    c.jobs_done.fetch_add(1, Ordering::SeqCst);
+    connected
 }
 
-fn worker_loop(shared: &Arc<Shared>, jobs: &Receiver<Job>) {
-    // recv errors only when the accept loop (the last sender) is gone
-    // and the queue is empty — i.e. after drain.
-    while let Ok(job) = jobs.recv() {
-        let c = &shared.counters;
-        c.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        c.jobs_running.fetch_add(1, Ordering::SeqCst);
-        run_job(shared, &job);
-        c.jobs_running.fetch_sub(1, Ordering::SeqCst);
-        c.jobs_done.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Spawns one solver thread onto the shared dispatch channel — called
-/// at startup for the initial pool and by [`solve_cell`] to replace a
-/// solver lost to a panic or presumed hung after a deadline.
-fn spawn_solver(shared: &Arc<Shared>) {
+/// Starts one solve attempt on a fresh thread and returns the one-shot
+/// channel its outcome arrives on: `Ok(report)` from a completed
+/// solve, `Err(message)` from a panic. The thread exits when the
+/// attempt ends; a reply nobody waits for any more (the deadline
+/// passed) lands on a dropped receiver and is discarded.
+fn spawn_attempt(
+    shared: &Arc<Shared>,
+    spec: &Arc<SweepSpec>,
+    idx: usize,
+    seed: u64,
+    fault: Option<InjectedFault>,
+) -> std::io::Result<Receiver<Result<CellReport, String>>> {
+    let (reply_tx, reply_rx) = unbounded();
     let shared = Arc::clone(shared);
-    std::thread::spawn(move || {
-        while let Ok(task) = shared.solver_rx.recv() {
-            let c = &shared.counters;
-            c.in_flight_solves.fetch_add(1, Ordering::SeqCst);
-            let solved = catch_unwind(AssertUnwindSafe(|| run_cell_task(&task)));
-            c.in_flight_solves.fetch_sub(1, Ordering::SeqCst);
-            match solved {
-                Ok(report) => {
-                    let _ = task.reply.send(Ok(report));
-                }
-                Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into());
-                    let _ = task.reply.send(Err(msg));
-                    // Die: the recovery block retries on a *fresh*
-                    // solver, never a thread that just unwound through
-                    // a workload.
-                    return;
-                }
-            }
-        }
-    });
+    let spec = Arc::clone(spec);
+    std::thread::Builder::new().spawn(move || {
+        let c = &shared.counters;
+        let hang_ms = shared.cfg.chaos.as_ref().map_or(0, |ch| ch.hang_ms);
+        c.in_flight_solves.fetch_add(1, Ordering::SeqCst);
+        let solved = catch_unwind(AssertUnwindSafe(|| {
+            run_cell_task(&spec.cells[idx], seed, fault, hang_ms)
+        }));
+        c.in_flight_solves.fetch_sub(1, Ordering::SeqCst);
+        let _ = reply_tx.send(solved.map_err(|panic| {
+            panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into())
+        }));
+    })?;
+    Ok(reply_rx)
 }
 
-/// Executes one solver attempt, applying the attempt's injected fault
+/// Executes one solve attempt, applying the attempt's injected fault
 /// (if the chaos schedule picked one).
-fn run_cell_task(task: &CellTask) -> CellReport {
-    let cell = &task.spec.cells[task.idx];
-    match task.fault {
+fn run_cell_task(
+    cell: &SweepCell,
+    seed: u64,
+    fault: Option<InjectedFault>,
+    hang_ms: u64,
+) -> CellReport {
+    match fault {
         Some(InjectedFault::Panic) => panic!("injected panic (chaos)"),
         Some(InjectedFault::Hang) => {
-            std::thread::sleep(Duration::from_millis(task.hang_ms));
-            cell.run(task.seed)
+            std::thread::sleep(Duration::from_millis(hang_ms));
+            cell.run(seed)
         }
         Some(InjectedFault::Garble) => {
-            let mut r = cell.run(task.seed);
+            let mut r = cell.run(seed);
             r.seed ^= 1; // caught by the acceptance test
             r
         }
-        None => cell.run(task.seed),
+        None => cell.run(seed),
     }
 }
 
@@ -879,10 +834,10 @@ fn acceptance(cell: &SweepCell, seed: u64, report: &CellReport) -> Result<(), St
     rbbench::journal::validate_report_roundtrip(report)
 }
 
-/// Solves one cell as a recovery block: dispatch to a solver (primary
-/// attempt), acceptance-test the result, and on a panic, deadline
-/// overrun, or acceptance failure retry on a fresh solver — at most
-/// [`ServerConfig::max_cell_retries`] times before returning the
+/// Solves one cell as a recovery block: a primary attempt on a fresh
+/// thread, an acceptance test on its result, and on a panic, deadline
+/// overrun, or acceptance failure a retry on another fresh thread — at
+/// most [`ServerConfig::max_cell_retries`] times before returning the
 /// documented refusal.
 fn solve_cell(
     shared: &Arc<Shared>,
@@ -902,53 +857,36 @@ fn solve_cell(
         if fault.is_some() {
             c.faults_injected.fetch_add(1, Ordering::Relaxed);
         }
-        let hang_ms = shared.cfg.chaos.as_ref().map_or(0, |ch| ch.hang_ms);
-        let (reply_tx, reply_rx) = unbounded();
-        if shared
-            .solver_tx
-            .send(CellTask {
-                spec: Arc::clone(spec),
-                idx,
-                seed,
-                fault,
-                hang_ms,
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            return Err(format!("cell `{}`: solver pool is gone", cell.id));
-        }
-        let failure = match reply_rx.recv_timeout(shared.cfg.cell_timeout) {
-            Ok(Ok(report)) => match acceptance(cell, seed, &report) {
-                Ok(()) => {
-                    c.cells_solved.fetch_add(1, Ordering::Relaxed);
-                    return Ok(report);
+        let failure = match spawn_attempt(shared, spec, idx, seed, fault) {
+            Err(e) => format!("could not start a solve attempt: {e}"),
+            Ok(reply) => match reply.recv_timeout(shared.cfg.cell_timeout) {
+                Ok(Ok(report)) => match acceptance(cell, seed, &report) {
+                    Ok(()) => {
+                        c.cells_solved.fetch_add(1, Ordering::Relaxed);
+                        return Ok(report);
+                    }
+                    Err(why) => format!("acceptance test failed: {why}"),
+                },
+                Ok(Err(panic_msg)) => {
+                    c.workers_restarted.fetch_add(1, Ordering::Relaxed);
+                    format!("solver panicked: {panic_msg}")
                 }
-                Err(why) => format!("acceptance test failed: {why}"),
+                Err(RecvTimeoutError::Timeout) => {
+                    // Presumed hung: abandon the attempt. Its thread
+                    // exits when it finishes; its late reply lands on
+                    // this dropped receiver.
+                    c.cells_timed_out.fetch_add(1, Ordering::Relaxed);
+                    c.workers_restarted.fetch_add(1, Ordering::Relaxed);
+                    format!(
+                        "no result within the {:?} cell deadline",
+                        shared.cfg.cell_timeout
+                    )
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    c.workers_restarted.fetch_add(1, Ordering::Relaxed);
+                    "solver dropped the reply channel".into()
+                }
             },
-            Ok(Err(panic_msg)) => {
-                // The solver died sending this; replace it.
-                c.workers_restarted.fetch_add(1, Ordering::Relaxed);
-                spawn_solver(shared);
-                format!("solver panicked: {panic_msg}")
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Presumed hung: spawn a replacement so the pool keeps
-                // its capacity even if the old solver never returns
-                // (its late reply lands on this dropped receiver).
-                c.cells_timed_out.fetch_add(1, Ordering::Relaxed);
-                c.workers_restarted.fetch_add(1, Ordering::Relaxed);
-                spawn_solver(shared);
-                format!(
-                    "no result within the {:?} cell deadline",
-                    shared.cfg.cell_timeout
-                )
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                c.workers_restarted.fetch_add(1, Ordering::Relaxed);
-                spawn_solver(shared);
-                "solver dropped the reply channel".into()
-            }
         };
         if attempt >= shared.cfg.max_cell_retries {
             return Err(format!(
@@ -1024,13 +962,20 @@ fn serve_cell(
     }
 }
 
-/// Runs one sweep cell-by-cell, cache-first, streaming each cell as it
-/// completes. Timing is accumulated here and reported only in the done
-/// event — cell payloads stay execution-independent, which is what
-/// makes cached, solved, and dedup-waited responses byte-identical.
-fn run_job(shared: &Arc<Shared>, job: &Job) {
+/// Runs one sweep cell-by-cell, cache-first, writing each cell's event
+/// to `out` as it completes. Timing is accumulated here and reported
+/// only in the done event — cell payloads stay execution-independent,
+/// which is what makes cached, solved, and dedup-waited responses
+/// byte-identical. After a failed write (or with `connected` false) it
+/// writes nothing more but still finishes the job, so the cache is
+/// warmed; returns whether the connection is still writable.
+fn run_job(
+    shared: &Arc<Shared>,
+    spec: &Arc<SweepSpec>,
+    out: &mut TcpStream,
+    mut connected: bool,
+) -> bool {
     let c = &shared.counters;
-    let spec = &job.spec;
     let (mut hits, mut misses, mut uncacheable) = (0u64, 0u64, 0u64);
     let mut solve_ns = 0.0f64;
     let mut reports = Vec::with_capacity(spec.cells.len());
@@ -1041,7 +986,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
         let (mut report, source) = match serve_cell(shared, spec, idx, seed, key.as_ref()) {
             Ok(served) => served,
             Err(refusal) => {
-                let _ = job.events.send(done_line(
+                let done = done_line(
                     &spec.name,
                     spec.cells.len(),
                     hits,
@@ -1049,8 +994,8 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
                     uncacheable,
                     solve_ns,
                     Some(&refusal),
-                ));
-                return;
+                );
+                return connected && send_line(out, &done);
             }
         };
         let was_hit = match source {
@@ -1075,9 +1020,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
             }
         };
         solve_ns += started.elapsed().as_nanos() as f64;
-        let _ = job
-            .events
-            .send(cell_line(&spec.name, idx, was_hit, &report));
+        connected = connected && send_line(out, &cell_line(&spec.name, idx, was_hit, &report));
         reports.push(report);
     }
     let report = SweepReport {
@@ -1090,7 +1033,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .insert(spec.name.clone(), report);
-    let _ = job.events.send(done_line(
+    let done = done_line(
         &spec.name,
         spec.cells.len(),
         hits,
@@ -1098,7 +1041,8 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
         uncacheable,
         solve_ns,
         None,
-    ));
+    );
+    connected && send_line(out, &done)
 }
 
 fn status_line(shared: &Arc<Shared>) -> String {

@@ -824,3 +824,66 @@ fn overlong_line_gets_one_error_then_the_connection_closes() {
     drop(client);
     handle.join();
 }
+
+#[test]
+fn repeated_grid_value_is_an_error_and_the_connection_keeps_serving() {
+    let handle = spawn(test_config(1)).expect("spawn");
+    let mut client = Client::connect(handle.addr());
+
+    // `"mu":[1,1]` names the cell `n2/mu1/lam0.5` twice.
+    let resp = client.request(
+        r#"{"op":"submit","name":"dup","kind":"async_grid","n":[2],"mu":[1,1],"lambda":[0.5],"lines":10}"#,
+    );
+    assert!(!is_ok(&resp), "{resp:?}");
+    let error = get_str(&resp, "error");
+    assert!(error.contains("n2/mu1/lam0.5"), "{error}");
+    assert_eq!(metric_value(&mut client, "requests/malformed"), 1.0);
+    assert_eq!(metric_value(&mut client, "queue/depth"), 0.0);
+
+    // Same connection: a valid submit still runs to completion.
+    let done = run_tiny_grid(&mut client);
+    assert_eq!(get_num(&done, "cells"), 2.0);
+
+    client.send(r#"{"op":"shutdown"}"#);
+    drop(client);
+    handle.join();
+}
+
+#[test]
+fn a_job_outlives_its_client_and_still_warms_the_cache() {
+    let dir = scratch("orphan");
+    let mut cfg = test_config(1);
+    cfg.cache_dir = Some(dir.clone());
+    let handle = spawn(cfg).expect("spawn");
+
+    // Submit, read only `accepted`, then hang up.
+    let mut orphan = Client::connect(handle.addr());
+    let accepted = orphan.request(&TINY_GRID.replace('\n', " "));
+    assert_eq!(get_str(&accepted, "event"), "accepted");
+    drop(orphan);
+
+    let mut client = Client::connect(handle.addr());
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while metric_value(&mut client, "jobs/done") < 1.0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "orphaned job never finished"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(metric_value(&mut client, "jobs/running"), 0.0);
+    assert_eq!(metric_value(&mut client, "queue/depth"), 0.0);
+    let orphaned = result_report(&mut client);
+
+    // The orphaned job warmed the cache: a resubmit is all hits, with
+    // the same bytes.
+    let warm = run_tiny_grid(&mut client);
+    assert_eq!(get_num(&warm, "cache_hits"), 2.0);
+    assert_eq!(get_num(&warm, "cache_misses"), 0.0);
+    assert_eq!(result_report(&mut client), orphaned);
+
+    client.send(r#"{"op":"shutdown"}"#);
+    drop(client);
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -81,6 +81,14 @@ impl ServerProc {
     }
 }
 
+/// A test that fails mid-way must not leave its server running.
+impl Drop for ServerProc {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -426,6 +434,70 @@ fn kill_mid_sweep_recovers_cache_and_resolves_only_missing_cells() {
         reference_result_line(),
         "server result must match the batch engine byte-for-byte"
     );
+
+    client.send(r#"{"op":"shutdown"}"#);
+    drop(client);
+    server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn abandoned_attempts_exit_and_the_thread_count_returns_to_idle() {
+    // Every primary attempt hangs 300 ms past a 50 ms deadline: the
+    // handler abandons it and retries on a fresh thread. Once the hung
+    // attempts wake and finish, the server must be back to its idle
+    // threads — nothing is pooled, nothing grows per timeout.
+    let dir = scratch("threads");
+    let (server, addr) = ServerProc::start_with(
+        &dir,
+        &[
+            "--cell-timeout-ms",
+            "50",
+            "--chaos-hang",
+            "1000",
+            "--chaos-hang-ms",
+            "300",
+        ],
+    );
+    let threads = || {
+        std::fs::read_dir(format!("/proc/{}/task", server.child.id()))
+            .expect("read /proc task list")
+            .count()
+    };
+    let mut client = Client::connect(addr);
+    // The answer proves this connection's handler thread exists.
+    assert_eq!(
+        client.request(r#"{"op":"status"}"#).get("ok"),
+        Some(&Value::Bool(true))
+    );
+    let idle = threads();
+
+    for seed in 0..3 {
+        client.send(&format!(
+            r#"{{"op":"submit","name":"g{seed}","seed":{seed},"kind":"async_grid","n":[2],"mu":[1],"lambda":[0.5,1],"lines":40}}"#
+        ));
+        loop {
+            let event = client.recv();
+            if text(&event, "event") == "done" {
+                assert_eq!(event.get("ok"), Some(&Value::Bool(true)), "{event:?}");
+                break;
+            }
+        }
+    }
+    assert_eq!(metric(&mut client, "cells/timed_out"), 6.0);
+    assert_eq!(metric(&mut client, "workers/restarted"), 6.0);
+
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while threads() > idle {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{} threads, {idle} when idle: abandoned attempts never exited",
+            threads()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    assert_eq!(metric(&mut client, "solves/in_flight"), 0.0);
 
     client.send(r#"{"op":"shutdown"}"#);
     drop(client);

@@ -38,7 +38,9 @@ pub fn available_threads() -> usize {
 /// reproduce serial ones exactly. Work is distributed dynamically:
 /// each worker repeatedly claims the next unclaimed chunk of indices
 /// from an atomic cursor, so heterogeneous cell costs balance without
-/// a static partition.
+/// a static partition. A chunk is `items.len() / (threads · 4)` items
+/// (at least one): small enough to balance uneven cells, large enough
+/// to keep cursor contention negligible.
 ///
 /// With `threads <= 1` (or a single item) the map runs inline on the
 /// calling thread — the serial reference path.
@@ -46,31 +48,6 @@ pub fn available_threads() -> usize {
 /// # Panics
 /// Propagates a panic from any worker (the sweep is aborted).
 pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_batched(items, threads, 1, f)
-}
-
-/// [`par_map`] with a caller-set minimum batch per cursor pull.
-///
-/// Each worker dispatch (one atomic `fetch_add` plus the loop
-/// bookkeeping around it) claims at least `min_batch` consecutive
-/// items, so sweeps over *many tiny cells* amortise their dispatch
-/// overhead instead of paying it per cell. Batching never affects the
-/// output — results are keyed by index and reassembled in input order,
-/// so the byte-identity contract of `rbbench`'s sweep reports holds at
-/// any batch size (pinned by `crates/bench/tests/sweep_determinism.rs`).
-/// The trade-off is balance: a batch is the smallest unit of work
-/// stealing, so batches larger than `items.len() / threads` serialise
-/// the tail. Use `min_batch = 1` (or [`par_map`]) when cells are
-/// expensive, and a few dozen when cells are microseconds.
-///
-/// # Panics
-/// Propagates a panic from any worker (the sweep is aborted).
-pub fn par_map_batched<T, R, F>(items: &[T], threads: usize, min_batch: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -86,10 +63,7 @@ where
             .collect();
     }
 
-    // Chunks small enough to balance uneven cells, large enough to keep
-    // cursor contention negligible — but never below the caller's
-    // amortisation floor.
-    let chunk = (n / (threads * 4)).max(min_batch).max(1);
+    let chunk = (n / (threads * 4)).max(1);
     let cursor = AtomicUsize::new(0);
     let mut buckets: Vec<Vec<(usize, R)>> = Vec::with_capacity(threads);
 
@@ -166,30 +140,19 @@ mod tests {
     }
 
     #[test]
-    fn batching_never_changes_the_output() {
-        let items: Vec<u64> = (0..613).collect();
-        let f = |idx: usize, x: &u64| (idx as u64).wrapping_mul(0x9E37).wrapping_add(x * 7);
-        let reference = par_map(&items, 1, f);
-        for batch in [1usize, 2, 7, 32, 100, 613, 10_000] {
-            for threads in [2usize, 4, 8] {
-                assert_eq!(
-                    par_map_batched(&items, threads, batch, f),
-                    reference,
-                    "batch={batch} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batching_covers_every_index_exactly_once() {
+    fn covers_every_index_exactly_once() {
         use std::sync::atomic::{AtomicU32, Ordering};
-        let items: Vec<usize> = (0..257).collect();
-        let hits: Vec<AtomicU32> = (0..items.len()).map(|_| AtomicU32::new(0)).collect();
-        par_map_batched(&items, 4, 16, |idx, _| {
-            hits[idx].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        for (len, threads) in [(257usize, 4usize), (613, 2), (613, 8), (5, 3)] {
+            let items: Vec<usize> = (0..len).collect();
+            let hits: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
+            par_map(&items, threads, |idx, _| {
+                hits[idx].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "len={len} threads={threads}"
+            );
+        }
     }
 
     #[test]
